@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from math import comb
@@ -222,14 +221,16 @@ def _cmd_verify(args) -> int:
     else:
         fam = loaded.to_graph_family()
         if args.dual:
-            report = verify_dual_family(fam, pred, workers=args.threads)
+            report = verify_dual_family(fam, pred)
         else:
-            report = verify_family(fam, pred, workers=args.threads)
+            report = verify_family(fam, pred)
     if args.json:
         payload = {
             "passed": report.passed,
             "mode": report.mode,
             "pairs_checked": report.pairs_checked,
+            "method": report.method,
+            "predicate_calls": report.predicate_calls,
         }
         if report.witness:
             (i, j), diff = report.witness
@@ -410,9 +411,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="require that no difference satisfies the predicate")
     p_verify.add_argument("--linear", action="store_true",
                           help="treat the file as a basis and check the span")
-    p_verify.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                          help="worker processes for pairwise checks "
-                               "(default: available parallelism)")
+    p_verify.add_argument("--threads", type=int, default=1,
+                          help="accepted for compatibility; verification "
+                               "runs in one process")
     p_verify.add_argument("--sample", type=int,
                           help="spot-check this many random pairs (dual only)")
     p_verify.add_argument("--seed", type=int, default=0,

@@ -136,15 +136,29 @@ def save_family(
 
 
 def load_family(path) -> LoadedFamily:
-    doc = json.loads(Path(path).read_text())
+    """Read a family file; a malformed file raises DomainError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
+        raise DomainError(f"{path}: not a JSON family file ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: family file must hold a JSON object")
     if doc.get("version") != FORMAT_VERSION:
         raise DomainError(f"unsupported family file version {doc.get('version')!r}")
     if doc.get("edge_order") != EDGE_ORDER:
         raise DomainError(f"unsupported edge order {doc.get('edge_order')!r}")
+    for key in ("n", "graphs"):
+        if key not in doc:
+            raise DomainError(f"{path}: family file lacks {key!r}")
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise DomainError("bad vertex count in family file")
-    graphs = tuple(LabeledGraph.from_hex(n, h) for h in doc["graphs"])
+    if not isinstance(doc["graphs"], list):
+        raise DomainError(f"{path}: 'graphs' must be a list of hex strings")
+    try:
+        graphs = tuple(LabeledGraph.from_hex(n, h) for h in doc["graphs"])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{path}: bad graph entry ({exc})") from exc
     return LoadedFamily(
         n=n,
         graphs=graphs,

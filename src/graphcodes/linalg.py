@@ -55,6 +55,17 @@ def gf2_in_span(mask: int, reduced_rows) -> bool:
     return gf2_reduce(mask, reduced_rows) == 0
 
 
+def gray_span(rows) -> list[int]:
+    """All 2^len(rows) elements of the span of independent rows, in Gray-code
+    order: element 0 is the empty graph and each next one flips one row."""
+    vals = [0] * (1 << len(rows))
+    cur = 0
+    for i in range(1, len(vals)):
+        cur ^= rows[(i & -i).bit_length() - 1]
+        vals[i] = cur
+    return vals
+
+
 @dataclass(frozen=True, slots=True)
 class LinearFamily:
     """The GF(2) span of a list of generator graphs.
@@ -96,14 +107,7 @@ class LinearFamily:
                 f"rank {self.rank} exceeds the enumeration budget "
                 f"{SPAN_RANK_BUDGET}"
             )
-        rows = self._reduced
-        vals = [0] * (1 << self.rank)
-        cur = 0
-        for i in range(1, 1 << self.rank):
-            cur ^= rows[(i & -i).bit_length() - 1]
-            vals[i] = cur
-        vals.sort()
-        return vals
+        return sorted(gray_span(self._reduced))
 
     def enumerate_span(self, provenance: dict | None = None) -> GraphFamily:
         """The span as an explicit family, deduplicated, ascending edge order."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .core import LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily
-from .linalg import gf2_reduced_basis
+from .linalg import gf2_reduced_basis, gray_span
 from .predicates import Predicate
 from . import bounds
 
@@ -125,12 +125,15 @@ def _compatibility_search(
 ) -> SearchResult:
     slots = edge_slots(n)
     test = pred.test_mask
-    cands = [m for m in range(1, 1 << slots) if test(n, m) == expect]
+    # one predicate call per mask: table[d] says whether difference d is
+    # admissible, and the adjacency is read off it (the empty graph is never
+    # a difference of two distinct candidates, so it is not tested)
+    table = [False] + [test(n, m) == expect for m in range(1, 1 << slots)]
+    cands = [m for m in range(1, 1 << slots) if table[m]]
     adj = [0] * len(cands)
-    for i in range(len(cands)):
-        ci = cands[i]
+    for i, ci in enumerate(cands):
         for j in range(i + 1, len(cands)):
-            if test(n, ci ^ cands[j]) == expect:
+            if table[ci ^ cands[j]]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     budget = _Budget(budget_nodes, time_ms)
@@ -290,12 +293,7 @@ def max_linear_family(
     except _BudgetExhausted:
         status = "timeout"
     rows = gf2_reduced_basis(best_basis)
-    masks = [0] * (1 << len(rows))
-    cur = 0
-    for i in range(1, 1 << len(rows)):
-        cur ^= rows[(i & -i).bit_length() - 1]
-        masks[i] = cur
-    masks.sort()
+    masks = sorted(gray_span(rows))
     certificate = GraphFamily(
         n,
         tuple(LabeledGraph(n, m) for m in masks),

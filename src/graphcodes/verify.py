@@ -1,23 +1,26 @@
 """Certification engine: is a family pairwise good (or dual) for a predicate?
 
-Pairwise checks walk index pairs (i, j), i < j, in lexicographic order and
-report the first failing pair as a deterministic witness; parallel runs
-reduce worker-local minima so the witness never depends on the worker count.
+A family's verdict depends only on its set of distinct pairwise differences,
+so the pairwise engine tests each difference once.  When the members form an
+affine coset of a GF(2) subspace, the differences are exactly the nonzero
+span elements, which are enumerated directly.  Otherwise (or once a coset
+element fails) index pairs (i, j), i < j, are walked in lexicographic order
+with a memo of verdicts per difference, so the first failing pair is a
+deterministic witness and the scan stops there.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from dataclasses import dataclass
 
 from .core import LabeledGraph
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily, ImplicitFamily
-from .linalg import LinearFamily
+from .linalg import LinearFamily, gf2_reduced_basis, gray_span
 from .predicates import Predicate
 
-PAIR_PARALLEL_THRESHOLD = 200_000
+MEMO_CAP = 1 << 18
 CROSS_PRODUCT_BUDGET = 1 << 24
 
 
@@ -27,12 +30,17 @@ class VerifyReport:
 
     ``witness`` is the lexicographically first failing index pair together
     with the offending symmetric difference; on failure ``pairs_checked``
-    counts the pairs up to and including the witness."""
+    counts the pairs up to and including the witness.  ``method`` names the
+    engine path ("coset", "memoized", "linear" or "sampled"; a failing coset
+    still finds its witness by the memoized scan) and ``predicate_calls``
+    counts the predicate evaluations."""
 
     passed: bool
     mode: str
     pairs_checked: int
     witness: tuple[tuple[int, int], LabeledGraph] | None
+    method: str | None = None
+    predicate_calls: int | None = None
 
     def __post_init__(self) -> None:
         if self.passed != (self.witness is None):
@@ -44,88 +52,90 @@ def _pair_rank(i: int, j: int, m: int) -> int:
     return i * (2 * m - i - 1) // 2 + (j - i)
 
 
-def _scan_chunk(args) -> tuple[int, int] | None:
-    n, masks, pred, expect, i_lo, i_hi = args
-    test = pred.test_mask
-    m = len(masks)
-    for i in range(i_lo, i_hi):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if test(n, mi ^ masks[j]) != expect:
-                return i, j
-    return None
+def _coset_differences(masks: list[int]) -> list[int] | None:
+    """The nonzero differences of a family that is an affine coset of a GF(2)
+    subspace, in Gray-code order; None when the family is not a coset.
 
-
-def _chunk_rows(m: int, chunks: int) -> list[tuple[int, int]]:
-    """Split rows 0..m-2 into ranges of roughly equal pair counts."""
-    total = m * (m - 1) // 2
-    target = max(1, total // chunks)
-    ranges = []
-    start = 0
-    acc = 0
-    for i in range(m - 1):
-        acc += m - 1 - i
-        if acc >= target or i == m - 2:
-            ranges.append((start, i + 1))
-            start = i + 1
-            acc = 0
-    return ranges
+    Members are distinct, so they form a coset exactly when the translates
+    ``m ^ masks[0]`` span a space of size len(masks)."""
+    base = masks[0]
+    rows = gf2_reduced_basis(m ^ base for m in masks)
+    if 1 << len(rows) != len(masks):
+        return None
+    return gray_span(rows)[1:]
 
 
 def _scan_pairs(
-    n: int, masks: list[int], pred: Predicate, expect: bool, workers: int
-) -> tuple[int, int] | None:
-    m = len(masks)
-    total = m * (m - 1) // 2
-    if workers > 1 and total >= PAIR_PARALLEL_THRESHOLD:
-        ranges = _chunk_rows(m, workers * 8)
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            jobs = ((n, masks, pred, expect, lo, hi) for lo, hi in ranges)
-            for result in pool.imap(_scan_chunk, jobs):
-                if result is not None:
-                    pool.terminate()
-                    return result
-        return None
+    n: int, masks: list[int], pred: Predicate, expect: bool
+) -> tuple[tuple[int, int] | None, str, int]:
+    """(first failing pair or None, method, predicate calls)."""
     test = pred.test_mask
+    verdicts: dict[int, bool] = {}
+    calls = 0
+    method = "memoized"
+    diffs = _coset_differences(masks)
+    if diffs is not None:
+        method = "coset"
+        for d in diffs:
+            calls += 1
+            ok = test(n, d) == expect
+            if len(verdicts) < MEMO_CAP:
+                verdicts[d] = ok
+            if not ok:
+                break
+        else:
+            return None, method, calls
+    # lexicographic scan; a difference whose verdict is memoized costs no call
+    m = len(masks)
     for i in range(m - 1):
         mi = masks[i]
         for j in range(i + 1, m):
-            if test(n, mi ^ masks[j]) != expect:
-                return i, j
-    return None
+            d = mi ^ masks[j]
+            ok = verdicts.get(d)
+            if ok is None:
+                calls += 1
+                ok = test(n, d) == expect
+                if len(verdicts) < MEMO_CAP:
+                    verdicts[d] = ok
+            if not ok:
+                return (i, j), method, calls
+    return None, method, calls
 
 
 def _run_pairwise(
-    fam: GraphFamily, pred: Predicate, expect: bool, mode: str, workers: int
+    fam: GraphFamily, pred: Predicate, expect: bool, mode: str
 ) -> VerifyReport:
     if len(fam) < 2:
         raise DomainError("need at least 2 graphs to verify")
     masks = fam.masks()
     m = len(masks)
     try:
-        failure = _scan_pairs(fam.n, masks, pred, expect, workers)
+        failure, method, calls = _scan_pairs(fam.n, masks, pred, expect)
     except CapabilityError as exc:
         raise CapabilityError(f"{exc} (while verifying {m} graphs)") from exc
     if failure is None:
-        return VerifyReport(True, mode, m * (m - 1) // 2, None)
+        return VerifyReport(True, mode, m * (m - 1) // 2, None, method, calls)
     i, j = failure
     return VerifyReport(
         False, mode, _pair_rank(i, j, m),
-        ((i, j), LabeledGraph(fam.n, masks[i] ^ masks[j])),
+        ((i, j), LabeledGraph(fam.n, masks[i] ^ masks[j])), method, calls,
     )
 
 
 def verify_family(fam: GraphFamily, pred: Predicate, workers: int = 1) -> VerifyReport:
-    """Check that every pairwise symmetric difference satisfies the predicate."""
-    return _run_pairwise(fam, pred, True, "pairwise", workers)
+    """Check that every pairwise symmetric difference satisfies the predicate.
+
+    ``workers`` is accepted for compatibility and ignored."""
+    return _run_pairwise(fam, pred, True, "pairwise")
 
 
 def verify_dual_family(
     fam: GraphFamily, pred: Predicate, workers: int = 1
 ) -> VerifyReport:
-    """Check that no pairwise symmetric difference satisfies the predicate."""
-    return _run_pairwise(fam, pred, False, "dual", workers)
+    """Check that no pairwise symmetric difference satisfies the predicate.
+
+    ``workers`` is accepted for compatibility and ignored."""
+    return _run_pairwise(fam, pred, False, "dual")
 
 
 def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:
@@ -139,9 +149,11 @@ def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:
     for idx in range(1, len(masks)):
         if not test(fam.n, masks[idx]):
             return VerifyReport(
-                False, "linear", idx, ((0, idx), LabeledGraph(fam.n, masks[idx]))
+                False, "linear", idx, ((0, idx), LabeledGraph(fam.n, masks[idx])),
+                "linear", idx,
             )
-    return VerifyReport(True, "linear", len(masks) - 1, None)
+    return VerifyReport(True, "linear", len(masks) - 1, None,
+                        "linear", len(masks) - 1)
 
 
 def verify_dual_sampled(
@@ -152,8 +164,10 @@ def verify_dual_sampled(
 ) -> VerifyReport:
     """Spot-check a (possibly implicit) dual family on seeded random pairs.
 
-    Samples ``pairs`` distinct member pairs; sampled pair t is reported with
-    indices (2t, 2t+1).  A pass is evidence, not a certificate."""
+    Draws ``pairs`` member pairs with replacement, redrawing the second
+    member only when it equals the first, so a pair may repeat; sampled pair
+    t is reported with indices (2t, 2t+1).  A pass is evidence, not a
+    certificate."""
     if pairs < 1:
         raise DomainError("need at least one sampled pair")
     rng = random.Random(seed)
@@ -176,8 +190,9 @@ def verify_dual_sampled(
             return VerifyReport(
                 False, "dual-sampled", t + 1,
                 ((2 * t, 2 * t + 1), LabeledGraph(fam.n, diff)),
+                "sampled", t + 1,
             )
-    return VerifyReport(True, "dual-sampled", pairs, None)
+    return VerifyReport(True, "dual-sampled", pairs, None, "sampled", pairs)
 
 
 def cross_difference_distinct(

@@ -161,3 +161,57 @@ def test_sub_pattern_predicate(tmp_path, capsys):
     assert run("build", "--family", "k3-4", "--out", str(fam)) == 0
     assert run("verify", "--pred", f"sub:{pat}", str(fam)) == 0
     capsys.readouterr()
+
+
+def _family_doc(**changes):
+    doc = {"version": 1, "n": 3, "edge_order": "colex-1based",
+           "graphs": ["00", "07"]}
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+def test_verify_json_reports_method_and_calls(tmp_path, capsys):
+    out = tmp_path / "sc5.json"
+    assert run("build", "--family", "split-clique", "--n", "5",
+               "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("verify", "--pred", "connected", "--json", str(out)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"passed": True, "mode": "pairwise",
+                       "pairs_checked": 120, "method": "coset",
+                       "predicate_calls": 15}
+
+
+def test_malformed_not_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run("verify", "--pred", "connected", str(bad)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_non_hex_graph(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_family_doc(graphs=["00", "zz"])))
+    assert run("verify", "--pred", "connected", str(bad)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_missing_n(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_family_doc(n=None)))
+    assert run("verify", "--pred", "connected", str(bad)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_missing_graphs(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_family_doc(graphs=None)))
+    assert run("verify", "--pred", "connected", str(bad)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_graphs_not_a_list(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_family_doc(graphs="0007")))
+    assert run("verify", "--pred", "connected", str(bad)) == 2
+    assert "error:" in capsys.readouterr().err

@@ -107,7 +107,6 @@ def test_witness_determinism_across_workers(monkeypatch):
             seen.add(bits)
             graphs.append(LabeledGraph(6, bits))
     fam = GraphFamily(6, tuple(graphs))
-    monkeypatch.setattr(V, "PAIR_PARALLEL_THRESHOLD", 10)
     sequential = verify_family(fam, P.CONNECTED, workers=1)
     parallel = verify_family(fam, P.CONNECTED, workers=2)
     assert sequential.passed == parallel.passed
@@ -157,3 +156,158 @@ def test_sampled_check_deterministic():
     a = verify_dual_sampled(imp, P.CONNECTED, pairs=100, seed=9)
     b = verify_dual_sampled(imp, P.CONNECTED, pairs=100, seed=9)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the difference-set engine against a naive pairwise loop
+
+from hypothesis import given, settings, strategies as st
+
+from graphcodes.core import edge_slots
+from graphcodes.linalg import gf2_reduced_basis, gray_span
+
+SHIPPED_PREDICATES = (
+    P.CONNECTED, P.TWO_CONNECTED, P.THREE_CONNECTED, P.k_connected(4),
+    P.HAMPATH, P.HAMCYCLE, P.STAR, P.K3, P.ODDCYCLE,
+    P.contains_induced_pred(LabeledGraph(3, 0b011), "indsub:P3"),
+)
+
+
+def naive_pairwise(fam, pred, expect):
+    """(passed, witness, pairs_checked) of a plain lexicographic pair loop."""
+    masks = fam.masks()
+    checked = 0
+    for i in range(len(masks) - 1):
+        for j in range(i + 1, len(masks)):
+            checked += 1
+            diff = masks[i] ^ masks[j]
+            if pred.test_mask(fam.n, diff) != expect:
+                return False, ((i, j), LabeledGraph(fam.n, diff)), checked
+    return True, None, checked
+
+
+def distinct_differences(fam):
+    masks = fam.masks()
+    return len({a ^ b for i, a in enumerate(masks) for b in masks[i + 1:]})
+
+
+def assert_engine_matches_naive(fam, method=None, exact_calls=True):
+    for pred in SHIPPED_PREDICATES:
+        for check, expect in ((verify_family, True), (verify_dual_family, False)):
+            rep = check(fam, pred)
+            assert (rep.passed, rep.witness, rep.pairs_checked) == \
+                naive_pairwise(fam, pred, expect), (pred.name, expect)
+            if method is not None:
+                assert rep.method == method
+            if exact_calls:
+                d = distinct_differences(fam)
+                assert rep.predicate_calls == d if rep.passed \
+                    else rep.predicate_calls <= d
+
+
+vertex_counts = st.integers(min_value=3, max_value=6)
+
+
+@st.composite
+def random_families(draw):
+    n = draw(vertex_counts)
+    masks = draw(st.lists(st.integers(0, (1 << edge_slots(n)) - 1),
+                          min_size=2, max_size=14, unique=True))
+    return GraphFamily(n, tuple(LabeledGraph(n, m) for m in masks))
+
+
+@st.composite
+def coset_masks(draw):
+    """(n, members of a shuffled affine coset of rank 1..4)."""
+    n = draw(vertex_counts)
+    top = (1 << edge_slots(n)) - 1
+    gens = draw(st.lists(st.integers(1, top), min_size=1, max_size=4))
+    rows = gf2_reduced_basis(gens)
+    shift = draw(st.integers(0, top))
+    masks = draw(st.permutations([shift ^ s for s in gray_span(rows)]))
+    return n, masks
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_families())
+def test_engine_matches_naive_on_random_families(fam):
+    assert_engine_matches_naive(fam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coset_masks())
+def test_engine_matches_naive_on_cosets(coset):
+    n, masks = coset
+    if len(masks) >= 2:
+        fam = GraphFamily(n, tuple(LabeledGraph(n, m) for m in masks))
+        assert_engine_matches_naive(fam, method="coset")
+
+
+@settings(max_examples=40, deadline=None)
+@given(coset_masks(), st.data())
+def test_engine_matches_naive_on_perturbed_cosets(coset, data):
+    n, masks = coset
+    top = (1 << edge_slots(n)) - 1
+    extra = data.draw(st.integers(0, top).filter(lambda m: m not in masks))
+    masks = list(masks)
+    masks[data.draw(st.integers(0, len(masks) - 1))] = extra
+    fam = GraphFamily(n, tuple(LabeledGraph(n, m) for m in masks))
+    assert_engine_matches_naive(fam)
+
+
+def test_engine_matches_naive_when_coset_fails_late_in_gray_order():
+    # a rank-3 subspace on 4 vertices whose only disconnected element is the
+    # last one in Gray order
+    rng = random.Random(11)
+    while True:
+        rows = gf2_reduced_basis(rng.getrandbits(6) for _ in range(3))
+        span = gray_span(rows)
+        verdicts = [P.CONNECTED.test_mask(4, d) for d in span[1:]]
+        if len(rows) == 3 and all(verdicts[:-1]) and not verdicts[-1]:
+            break
+    members = [0b100110 ^ s for s in span]
+    rng.shuffle(members)
+    fam = GraphFamily(4, tuple(LabeledGraph(4, m) for m in members))
+    rep = verify_family(fam, P.CONNECTED)
+    assert rep.method == "coset" and not rep.passed
+    assert rep.witness[1].bits == span[-1]
+    assert rep.predicate_calls == 7
+    assert_engine_matches_naive(fam, method="coset")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(random_families(), coset_masks().map(
+    lambda c: GraphFamily(c[0], tuple(LabeledGraph(c[0], m) for m in c[1]))
+    if len(c[1]) >= 2 else C.split_clique_family(4))),
+    st.integers(0, 5))
+def test_engine_matches_naive_past_the_memo_cap(fam, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(V, "MEMO_CAP", cap)
+        assert_engine_matches_naive(fam, exact_calls=False)
+
+
+def test_predicate_calls_count_distinct_differences():
+    cases = (
+        (C.split_clique_family(6), P.CONNECTED, verify_family, "coset"),
+        (C.dual_star_family(4), P.STAR, verify_dual_family, "coset"),
+        (C.dual_lowdeg_family(5), P.THREE_CONNECTED, verify_dual_family,
+         "memoized"),
+    )
+    for fam, pred, check, method in cases:
+        rep = check(fam, pred)
+        assert rep.passed and rep.method == method
+        assert rep.predicate_calls == distinct_differences(fam)
+    sc = C.split_clique_family(6)
+    bad = GraphFamily(6, sc.graphs[:5] + (sc[0] ^ LabeledGraph(6, 1),)
+                      + sc.graphs[6:])
+    rep = verify_family(bad, P.CONNECTED)
+    assert not rep.passed and rep.method == "memoized"
+    assert rep.witness[0] == (0, 5) and rep.pairs_checked == 5
+    assert rep.predicate_calls == 5 <= distinct_differences(bad)
+
+
+def test_linear_and_sampled_report_their_calls():
+    rep = verify_linear_family(C.k3_family_5(), P.K3)
+    assert rep.method == "linear" and rep.predicate_calls == 15
+    rep = verify_dual_sampled(C.dual_star_implicit(6), P.STAR, pairs=30)
+    assert rep.method == "sampled" and rep.predicate_calls == 30
