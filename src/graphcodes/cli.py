@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from . import bounds, constructions, search
+from .constructions import _is_prime
 from .core import edge_slots
 from .errors import GraphCodesError
 from .factorization import starter_factorization, verify_p1f
@@ -38,17 +39,6 @@ def _fmt_log2(x: Fraction) -> str:
     if x.denominator == 1:
         return f"2^{x.numerator}"
     return f"2^{float(x)}"
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +279,8 @@ def _cmd_search(args) -> int:
         print(json.dumps({
             "optimum": result.optimum, "status": result.status,
             "explored": result.explored, "rank": result.rank,
-            "out": args.out,
+            "out": args.out, "candidates": result.candidates,
+            "compat_edges": result.compat_edges,
         }))
     else:
         line = (f"optimum {result.optimum} [{result.status}], "

@@ -102,10 +102,6 @@ def _biconnected_from_adj(n: int, adj: list[int]) -> bool:
     return all(disc)
 
 
-def _flow_key(a: int, b: int) -> int:
-    return (a << 8) | b
-
-
 def _max_flow_at_most(n: int, adj: list[int], s: int, t: int, cap: int) -> int:
     """Internally vertex-disjoint s-t paths, counted up to ``cap``.
 
@@ -118,11 +114,14 @@ def _max_flow_at_most(n: int, adj: list[int], s: int, t: int, cap: int) -> int:
     if cap <= 0:
         return 0
     big = n
-    nbrs: list[list[int]] = [[] for _ in range(2 * n)]
+    size = 2 * n
+    nbrs: list[list[int]] = [[] for _ in range(size)]
+    # residual capacity of arc a->b, keyed by a * size + b (one key per arc
+    # for every node count)
     residual: dict[int, int] = {}
 
     def arc(a: int, b: int, c: int) -> None:
-        ka, kb = _flow_key(a, b), _flow_key(b, a)
+        ka, kb = a * size + b, b * size + a
         if ka not in residual:
             residual[ka] = 0
             residual.setdefault(kb, 0)
@@ -140,7 +139,7 @@ def _max_flow_at_most(n: int, adj: list[int], s: int, t: int, cap: int) -> int:
     source, sink = s + n, t
     flow = 0
     while flow < cap:
-        parent = [-1] * (2 * n)
+        parent = [-1] * size
         parent[source] = source
         dq = deque([source])
         found = False
@@ -150,7 +149,7 @@ def _max_flow_at_most(n: int, adj: list[int], s: int, t: int, cap: int) -> int:
                 found = True
                 break
             for b in nbrs[a]:
-                if parent[b] < 0 and residual[_flow_key(a, b)] > 0:
+                if parent[b] < 0 and residual[a * size + b] > 0:
                     parent[b] = a
                     dq.append(b)
         if not found:
@@ -158,8 +157,8 @@ def _max_flow_at_most(n: int, adj: list[int], s: int, t: int, cap: int) -> int:
         b = sink
         while b != source:
             a = parent[b]
-            residual[_flow_key(a, b)] -= 1
-            residual[_flow_key(b, a)] += 1
+            residual[a * size + b] -= 1
+            residual[b * size + a] += 1
             b = a
         flow += 1
     return flow

@@ -36,6 +36,10 @@ class SearchResult:
     explored: int
     status: str  # "exact" | "timeout"
     rank: int | None = None
+    # compatibility searches only: graphs classified as candidates, and the
+    # edges of the compatibility graph among them
+    candidates: int | None = None
+    compat_edges: int | None = None
 
 
 class _BudgetExhausted(Exception):
@@ -64,52 +68,58 @@ class _Budget:
             raise _BudgetExhausted
 
 
-def _iter_bits(mask: int):
-    while mask:
-        lowbit = mask & -mask
-        yield lowbit.bit_length() - 1
-        mask ^= lowbit
-
-
 def _max_clique(adj: list[int], budget: _Budget) -> tuple[list[int], bool]:
     """Deterministic branch and bound (greedy coloring bound) over vertices
     0..len(adj)-1 in index order.  Returns (clique, exhausted): the clique is
-    a maximum one unless the budget ran out, then the incumbent."""
-    best: list[int] = []
+    a maximum one unless the budget ran out, then the incumbent.
 
-    def color_order(p: int) -> list[tuple[int, int]]:
-        classes: list[int] = []
-        order: list[tuple[int, int]] = []
-        for v in _iter_bits(p):
-            placed = False
-            for c, members in enumerate(classes):
-                if not adj[v] & members:
-                    classes[c] |= 1 << v
-                    order.append((v, c + 1))
-                    placed = True
-                    break
-            if not placed:
-                classes.append(1 << v)
-                order.append((v, len(classes)))
-        order.sort(key=lambda vc: vc[1])
-        return order
+    Each node colors its candidate set p with bitsets (San Segundo et al.,
+    Computers & OR 38, 2011), one color class at a time: a class is the
+    greedy maximal independent set, in index order, of the vertices not yet
+    colored.  These are exactly the classes that first-fit coloring in index
+    order builds (a vertex joins the first class holding none of its
+    neighbors), so the bounds and the branching order -- highest color
+    first, highest index first within a class -- are those of first-fit
+    coloring sorted by color."""
+    best: list[int] = []
+    nadj = [~a for a in adj]
 
     def expand(r: list[int], p: int) -> None:
         nonlocal best
         budget.spend()
-        order = color_order(p)
-        for v, bound in reversed(order):
-            if len(r) + bound <= len(best):
-                return
-            r.append(v)
-            nxt = p & adj[v]
-            if nxt:
-                expand(r, nxt)
-            elif len(r) > len(best):
-                best = r.copy()
-            r.pop()
-            p ^= 1 << v
-        return
+        # classes with color <= len(best) - len(r) are never branched on
+        # (best only grows), so they are colored but not kept
+        floor = len(best) - len(r)
+        classes: list[int] = []
+        color = 0
+        q = p
+        while q:
+            color += 1
+            avail = start = q
+            while avail:
+                low = avail & -avail
+                q ^= low
+                avail = (avail ^ low) & nadj[low.bit_length() - 1]
+            if color > floor:
+                classes.append(start ^ q)
+        depth = len(r)
+        while classes:
+            members = classes.pop()
+            while members:
+                if depth + color <= len(best):
+                    return
+                v = members.bit_length() - 1
+                bit = 1 << v
+                r.append(v)
+                nxt = p & adj[v]
+                if nxt:
+                    expand(r, nxt)
+                elif depth + 1 > len(best):
+                    best = r.copy()
+                r.pop()
+                p ^= bit
+                members ^= bit
+            color -= 1
 
     exhausted = False
     try:
@@ -151,6 +161,8 @@ def _compatibility_search(
         certificate=certificate,
         explored=budget.nodes,
         status=status,
+        candidates=len(cands),
+        compat_edges=sum(a.bit_count() for a in adj) // 2,
     )
 
 

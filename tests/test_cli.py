@@ -82,6 +82,20 @@ def test_search_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_search_json_counters(capsys):
+    assert run("search", "--pred", "k3", "--n", "4", "--mode", "good",
+               "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"optimum": 4, "status": "exact", "explored": 4,
+                       "rank": None, "out": None, "candidates": 23,
+                       "compat_edges": 60}
+    assert run("search", "--pred", "k3", "--n", "4", "--mode", "linear",
+               "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rank"] == 2
+    assert payload["candidates"] is None and payload["compat_edges"] is None
+
+
 def test_search_expect_failure(capsys):
     assert run("search", "--pred", "k3", "--n", "4", "--mode", "good",
                "--expect", "5") == 1

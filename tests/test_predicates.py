@@ -52,6 +52,30 @@ def test_vertex_connectivity_examples():
     assert vertex_connectivity(complete_graph(5)) == 4
 
 
+def test_vertex_connectivity_above_128_vertices():
+    # two cycles joined only through the hubs 127 and 129: kappa = 2.  With
+    # n = 130 the split digraph has 260 nodes, past any 8-bit arc key.
+    import graphcodes.core as core
+
+    a = list(range(1, 64))
+    b = list(range(64, 127)) + [128, 130]
+    edges = set()
+    for cyc in (a, b):
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            edges.add((min(u, v), max(u, v)))
+    for v in a + b:
+        edges.update({(v, 127), (v, 129)})
+    core.set_vertex_limit(200)
+    try:
+        g = graph_from_edges(130, sorted(edges))
+        assert vertex_connectivity(g) == 2
+        assert not is_k_connected(g, 3)
+        assert is_k_connected(g, 2)
+        assert not is_connected(g.induced_subgraph(a + b))
+    finally:
+        core.set_vertex_limit(core.DEFAULT_VERTEX_LIMIT)
+
+
 def test_degree_one_vertex_blocks_two_connectivity():
     g = graph_from_edges(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
     assert not is_k_connected(g, 2)

@@ -101,12 +101,20 @@ def test_independence_number_differences_match_clique_agreement():
         assert verify_family(result.certificate, pred).passed
 
 
-@pytest.mark.slow
 def test_extended_good_search_n5():
-    # flagged extended: candidate set ~728 connected graphs
+    # candidate set ~728 connected graphs
     result = S.max_good_family(5, P.CONNECTED, budget_nodes=50_000_000)
-    if result.status == "exact":
-        assert result.optimum == 16
+    assert result.status == "exact"
+    assert result.optimum == 16
+
+
+def test_hampath_n5_search_tree_and_counters():
+    # pins the size of the branch-and-bound tree and the search counters
+    result = S.max_good_family(5, P.HAMPATH)
+    assert (result.status, result.optimum, result.explored) == \
+        ("exact", 16, 187_756)
+    assert (result.candidates, result.compat_edges) == (633, 116_658)
+    assert verify_family(result.certificate, P.HAMPATH).passed
 
 
 @pytest.mark.slow
@@ -118,3 +126,104 @@ def test_linear_3conn_n7_matches_hamming_rank():
     assert result.rank == 3
     assert result.optimum == 8
     assert verify_family(result.certificate, P.THREE_CONNECTED).passed
+
+
+# ---------------------------------------------------------------------------
+# the bitset-coloring clique search against first-fit coloring
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+
+def reference_max_clique(adj, budget):
+    """Branch and bound with a first-fit greedy coloring in index order, the
+    coloring sorted by color, branching from the highest color down."""
+    best = []
+
+    def color_order(p):
+        classes = []
+        order = []
+        v = 0
+        while p >> v:
+            if p >> v & 1:
+                for c, members in enumerate(classes):
+                    if not adj[v] & members:
+                        classes[c] |= 1 << v
+                        order.append((v, c + 1))
+                        break
+                else:
+                    classes.append(1 << v)
+                    order.append((v, len(classes)))
+            v += 1
+        order.sort(key=lambda vc: vc[1])
+        return order
+
+    def expand(r, p):
+        nonlocal best
+        budget.spend()
+        for v, bound in reversed(color_order(p)):
+            if len(r) + bound <= len(best):
+                return
+            r.append(v)
+            nxt = p & adj[v]
+            if nxt:
+                expand(r, nxt)
+            elif len(r) > len(best):
+                best = r.copy()
+            r.pop()
+            p ^= 1 << v
+
+    exhausted = False
+    try:
+        if adj:
+            expand([], (1 << len(adj)) - 1)
+    except S._BudgetExhausted:
+        exhausted = True
+    return best, exhausted
+
+
+@st.composite
+def random_graphs(draw):
+    """Adjacency masks of a G(n, density) graph on up to 40 vertices."""
+    n = draw(st.integers(0, 40))
+    density = draw(st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def run_clique(search, adj, limit):
+    budget = S._Budget(limit, None)
+    clique, exhausted = search(adj, budget)
+    return clique, exhausted, budget.nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs(), st.one_of(st.none(), st.integers(1, 60)))
+def test_max_clique_matches_first_fit_reference(adj, limit):
+    new = run_clique(S._max_clique, adj, limit)
+    assert new == run_clique(reference_max_clique, adj, limit)
+    clique = new[0]
+    assert all(adj[a] >> b & 1 for i, a in enumerate(clique)
+               for b in clique[i + 1:])
+
+
+@pytest.mark.parametrize("search", (S.max_good_family, S.max_dual_family))
+@pytest.mark.parametrize("n", (3, 4))
+def test_compatibility_search_matches_first_fit_reference(monkeypatch, search, n):
+    preds = (P.CONNECTED, P.TWO_CONNECTED, P.THREE_CONNECTED, P.HAMPATH,
+             P.HAMCYCLE, P.STAR, P.K3, P.ODDCYCLE)
+    for pred in preds:
+        for limit in (None, 1, 3, 10):
+            new = search(n, pred, budget_nodes=limit)
+            with monkeypatch.context() as m:
+                m.setattr(S, "_max_clique", reference_max_clique)
+                old = search(n, pred, budget_nodes=limit)
+            assert (new.explored, new.status, new.certificate.masks()) == \
+                (old.explored, old.status, old.certificate.masks()), pred.name
