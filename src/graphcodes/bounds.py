@@ -1,4 +1,6 @@
-"""Closed-form bounds and asymptotic invariants for graph family codes.
+"""Closed-form bounds and asymptotic invariants for graph family codes, and
+the theorem rows that pair each named predicate's construction with its
+proven upper bound.
 
 Sizes are exact Python integers (arbitrary precision), so bounds like
 2^C(n,2) need no special handling; fractional exponents (the odd-n
@@ -12,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .constructions import _is_prime
 from .core import LabeledGraph, adjacency_masks, edge_slots
-from .errors import CapabilityError, DomainError, UnsupportedParameterError
+from .errors import (CapabilityError, DomainError, GraphCodesError,
+                     UnsupportedParameterError)
 
 CHROMATIC_CAP = 10
 
@@ -244,3 +248,137 @@ class BoundReport:
             and self.upper is not None
             and self.lower == self.upper
         )
+
+
+# ---------------------------------------------------------------------------
+# theorem rows: each named predicate's best construction against its proven
+# upper bound
+
+
+# the predicates that have a theorem row, in the order of the table
+PREDICATES = ("connected", "2conn", "3conn", "hampath", "hamcycle", "star",
+              "k3", "oddcycle")
+
+
+def bound_report(pred_name: str, n: int) -> BoundReport:
+    """The theorem row of a named predicate at n vertices.
+
+    ``lower`` is the size of the construction that exists at this n, or None
+    where the paper gives none; ``upper`` is the proven bound, which also caps
+    the rank of a linear family."""
+    if n < 2:
+        raise DomainError("need n >= 2")
+    if pred_name == "connected":
+        upper = 1 << product_upper_bound(n, edge_slots(n - 1))
+        return BoundReport(
+            n, "connected", 1 << (n - 1), "split-clique", upper,
+            Fraction(n - 1), "product bound via dual-isolated",
+        )
+    if pred_name == "2conn":
+        upper_exp = product_upper_bound(n, edge_slots(n - 1) + 1)
+        upper = 1 << upper_exp
+        if n % 2 == 0:
+            lower, source = 1 << (n - 2), "even-split"
+        elif n == 3:
+            lower, source = 2, "odd-2conn"
+        else:
+            lower = (1 << (n - 2)) - comb(n - 2, (n - 3) // 2)
+            source = "odd-2conn"
+        return BoundReport(
+            n, "2conn", lower, source, upper, Fraction(upper_exp),
+            "product bound via dual-pendant",
+        )
+    if pred_name == "3conn":
+        exp = ((1 << (n - 1)) // n).bit_length() - 1
+        upper = 1 << exp
+        if n >= 3 and (n + 1) & n == 0:  # n = 2^k - 1
+            k = n.bit_length()
+            lower, source = 1 << (n - k - 1), "hamming-3conn"
+        else:
+            lower, source = None, None
+        return BoundReport(
+            n, "3conn-linear", lower, source, upper, Fraction(exp),
+            "power-of-two cap under the product bound via dual-lowdeg",
+        )
+    if pred_name == "hampath":
+        built = n % 2 == 1 and _is_prime(n)
+        lower, source = (1 << (n - 1), "hampath") if built else (None, None)
+        return BoundReport(
+            n, "hampath", lower, source, 1 << (n - 1), Fraction(n - 1),
+            "product bound via dual-isolated",
+        )
+    if pred_name == "hamcycle":
+        built = n % 2 == 0 and _is_prime(n - 1)
+        lower, source = (1 << (n - 2), "hamcycle") if built else (None, None)
+        return BoundReport(
+            n, "hamcycle", lower, source, 1 << (n - 2), Fraction(n - 2),
+            "product bound via dual-pendant",
+        )
+    if pred_name == "star":
+        m = star_upper_bound(n)
+        return BoundReport(n, "star", m, "star family", m, None,
+                           "edge-coloring bound")
+    if pred_name in ("k3", "oddcycle"):
+        exp = subgraph_upper_bound(n, 3)
+        sizes = {3: 2, 4: 4, 5: 16, 6: 64}
+        lower = source = None
+        if n in sizes:
+            lower, source = sizes[n], f"k3-{n}"
+        elif pred_name == "oddcycle" and n == 7:
+            lower, source = 512, "codd-7"
+        return BoundReport(
+            n, pred_name, lower, source, 1 << exp, Fraction(exp),
+            "subgraph bound via the triangle-free edge maximum",
+        )
+    raise GraphCodesError(f"no bound row for predicate {pred_name!r}")
+
+
+def dual_report(pred_name: str, n: int) -> dict | None:
+    """The dual-family row printed under a predicate's theorem row, as log2
+    bounds; only spanning stars have one (Shearer's projection bounds)."""
+    if pred_name != "star":
+        return None
+    lo, hi = shearer_dual_star_bounds(n)
+    return {"predicate": "star-dual", "lower_log2": lo, "upper_log2": hi,
+            "tight": lo == hi}
+
+
+def fmt_log2(x: Fraction) -> str:
+    if x.denominator == 1:
+        return f"2^{x.numerator}"
+    return f"2^{float(x)}"
+
+
+def report_to_dict(rep: BoundReport) -> dict:
+    return {
+        "n": rep.n,
+        "predicate": rep.predicate,
+        "lower": rep.lower,
+        "lower_source": rep.lower_source,
+        "upper": rep.upper,
+        "upper_source": rep.upper_source,
+        "tight": rep.tight,
+    }
+
+
+def table_rows(lo: int, hi: int) -> list[dict]:
+    """The theorem table for lo <= n <= hi: each predicate's row where a
+    construction gives it a lower bound, then its dual row if it has one."""
+    rows = []
+    for n in range(lo, hi + 1):
+        for name in PREDICATES:
+            rep = bound_report(name, n)
+            if rep.lower is not None:
+                rows.append(report_to_dict(rep))
+            dual = dual_report(name, n)
+            if dual is not None:
+                rows.append({
+                    "n": n, "predicate": dual["predicate"],
+                    "lower": 1 << int(dual["lower_log2"]),
+                    "lower_source": "edge-cover superset family",
+                    "upper": None,
+                    "upper_source":
+                        f"projection bound {fmt_log2(dual['upper_log2'])}",
+                    "tight": dual["tight"],
+                })
+    return rows

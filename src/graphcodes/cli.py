@@ -9,12 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from math import comb
 
 from . import bounds, constructions, search
-from .constructions import _is_prime
-from .core import edge_slots
 from .errors import GraphCodesError
 from .factorization import starter_factorization, verify_p1f
 from .family import load_family, save_family
@@ -33,109 +29,6 @@ def _fmt_size(x: int) -> str:
     if x >= 1 << 16 and x & (x - 1) == 0:
         return f"2^{x.bit_length() - 1}"
     return str(x)
-
-
-def _fmt_log2(x: Fraction) -> str:
-    if x.denominator == 1:
-        return f"2^{x.numerator}"
-    return f"2^{float(x)}"
-
-
-# ---------------------------------------------------------------------------
-# bound/table row assembly
-
-
-def _bound_report(pred_name: str, n: int) -> bounds.BoundReport:
-    if pred_name == "connected":
-        upper = 1 << bounds.product_upper_bound(n, edge_slots(n - 1))
-        return bounds.BoundReport(
-            n, "connected", 1 << (n - 1), "split-clique", upper,
-            Fraction(n - 1), "product bound via dual-isolated",
-        )
-    if pred_name == "2conn":
-        upper_exp = bounds.product_upper_bound(n, edge_slots(n - 1) + 1)
-        upper = 1 << upper_exp
-        if n % 2 == 0:
-            lower, source = 1 << (n - 2), "even-split"
-        elif n == 3:
-            lower, source = 2, "odd-2conn"
-        else:
-            lower = (1 << (n - 2)) - comb(n - 2, (n - 3) // 2)
-            source = "odd-2conn"
-        return bounds.BoundReport(
-            n, "2conn", lower, source, upper, Fraction(upper_exp),
-            "product bound via dual-pendant",
-        )
-    if pred_name == "3conn":
-        exp = ((1 << (n - 1)) // n).bit_length() - 1
-        upper = 1 << exp
-        if n >= 3 and (n + 1) & n == 0:  # n = 2^k - 1
-            k = n.bit_length()
-            lower, source = 1 << (n - k - 1), "hamming-3conn"
-        else:
-            lower, source = None, None
-        return bounds.BoundReport(
-            n, "3conn-linear", lower, source, upper, Fraction(exp),
-            "power-of-two cap under the product bound via dual-lowdeg",
-        )
-    if pred_name == "hampath":
-        built = n % 2 == 1 and _is_prime(n)
-        lower, source = (1 << (n - 1), "hampath") if built else (None, None)
-        return bounds.BoundReport(
-            n, "hampath", lower, source, 1 << (n - 1), Fraction(n - 1),
-            "product bound via dual-isolated",
-        )
-    if pred_name == "hamcycle":
-        built = n % 2 == 0 and _is_prime(n - 1)
-        lower, source = (1 << (n - 2), "hamcycle") if built else (None, None)
-        return bounds.BoundReport(
-            n, "hamcycle", lower, source, 1 << (n - 2), Fraction(n - 2),
-            "product bound via dual-pendant",
-        )
-    if pred_name == "star":
-        m = bounds.star_upper_bound(n)
-        return bounds.BoundReport(
-            n, "star", m, "star family", m, None, "edge-coloring bound",
-        )
-    if pred_name in ("k3", "oddcycle"):
-        exp = bounds.subgraph_upper_bound(n, 3)
-        sizes = {3: 2, 4: 4, 5: 16, 6: 64}
-        lower = source = None
-        if pred_name == "k3" and n in sizes:
-            lower, source = sizes[n], f"k3-{n}"
-        if pred_name == "oddcycle":
-            if n in sizes:
-                lower, source = sizes[n], f"k3-{n}"
-            elif n == 7:
-                lower, source = 512, "codd-7"
-        return bounds.BoundReport(
-            n, pred_name, lower, source, 1 << exp, Fraction(exp),
-            "subgraph bound via the triangle-free edge maximum",
-        )
-    raise GraphCodesError(f"no bound row for predicate {pred_name!r}")
-
-
-def _dual_star_report(n: int) -> dict:
-    lo, hi = bounds.shearer_dual_star_bounds(n)
-    return {
-        "n": n,
-        "predicate": "star-dual",
-        "lower_log2": lo,
-        "upper_log2": hi,
-        "tight": lo == hi,
-    }
-
-
-def _report_to_dict(rep: bounds.BoundReport) -> dict:
-    return {
-        "n": rep.n,
-        "predicate": rep.predicate,
-        "lower": rep.lower,
-        "lower_source": rep.lower_source,
-        "upper": rep.upper,
-        "upper_source": rep.upper_source,
-        "tight": rep.tight,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +129,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    rep = _bound_report(args.pred, args.n)
+    rep = bounds.bound_report(args.pred, args.n)
+    dual = bounds.dual_report(args.pred, args.n)
     if args.json:
-        payload = _report_to_dict(rep)
-        if args.pred == "star":
-            dual = _dual_star_report(args.n)
+        payload = bounds.report_to_dict(rep)
+        if dual is not None:
             payload["dual"] = {
                 "lower_log2": str(dual["lower_log2"]),
                 "upper_log2": str(dual["upper_log2"]),
@@ -253,11 +146,10 @@ def _cmd_bound(args) -> int:
         print(f"M >= {_fmt_size(rep.lower)} ({rep.lower_source})")
     print(f"M <= {_fmt_size(rep.upper)} ({rep.upper_source})")
     print(f"tight: {'yes' if rep.tight else 'no'}")
-    if args.pred == "star":
-        dual = _dual_star_report(args.n)
+    if dual is not None:
         print(
-            f"dual: {_fmt_log2(dual['lower_log2'])} <= D <= "
-            f"{_fmt_log2(dual['upper_log2'])}"
+            f"dual: {bounds.fmt_log2(dual['lower_log2'])} <= D <= "
+            f"{bounds.fmt_log2(dual['upper_log2'])}"
             f" ({'tight' if dual['tight'] else 'not tight'})"
         )
     return 0
@@ -298,34 +190,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _table_rows(lo: int, hi: int) -> list[dict]:
-    rows = []
-    for n in range(lo, hi + 1):
-        rows.append(_report_to_dict(_bound_report("connected", n)))
-        rows.append(_report_to_dict(_bound_report("2conn", n)))
-        if n >= 3 and (n + 1) & n == 0:
-            rows.append(_report_to_dict(_bound_report("3conn", n)))
-        if n % 2 and _is_prime(n):
-            rows.append(_report_to_dict(_bound_report("hampath", n)))
-        if n % 2 == 0 and _is_prime(n - 1):
-            rows.append(_report_to_dict(_bound_report("hamcycle", n)))
-        rows.append(_report_to_dict(_bound_report("star", n)))
-        dual = _dual_star_report(n)
-        rows.append({
-            "n": n, "predicate": "star-dual",
-            "lower": 1 << int(dual["lower_log2"]),
-            "lower_source": "edge-cover superset family",
-            "upper": None,
-            "upper_source": f"projection bound {_fmt_log2(dual['upper_log2'])}",
-            "tight": dual["tight"],
-        })
-        if 3 <= n <= 6:
-            rows.append(_report_to_dict(_bound_report("k3", n)))
-        if 3 <= n <= 7:
-            rows.append(_report_to_dict(_bound_report("oddcycle", n)))
-    return rows
-
-
 def _cmd_table(args) -> int:
     try:
         lo_text, hi_text = args.range.split("..")
@@ -334,7 +198,7 @@ def _cmd_table(args) -> int:
         raise GraphCodesError(f"bad range {args.range!r}; expected a..b") from exc
     if not 3 <= lo <= hi <= 14:
         raise GraphCodesError("range must satisfy 3 <= a <= b <= 14")
-    rows = _table_rows(lo, hi)
+    rows = bounds.table_rows(lo, hi)
     if args.json:
         print(json.dumps(rows, default=str))
         return 0

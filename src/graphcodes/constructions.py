@@ -23,7 +23,7 @@ from .core import (
 from .errors import CapabilityError, DomainError, UnsupportedParameterError
 from .factorization import starter_factorization, verify_p1f
 from .family import GraphFamily, ImplicitFamily
-from .linalg import LinearFamily, gf2_reduced_basis
+from .linalg import LinearFamily, gf2_reduced_basis, gray_span
 
 ENUM_BUDGET = 1 << 24
 
@@ -153,16 +153,8 @@ def hamming_code(k: int) -> tuple[int, list[int]]:
 
 def hamming_minimum_distance(k: int) -> int:
     """Minimum nonzero codeword weight, by scanning the full code."""
-    n, basis = hamming_code(k)
-    rows = gf2_reduced_basis(basis)
-    best = n
-    cur = 0
-    for i in range(1, 1 << len(rows)):
-        cur ^= rows[(i & -i).bit_length() - 1]
-        w = cur.bit_count()
-        if w < best:
-            best = w
-    return best
+    _, basis = hamming_code(k)
+    return min(w.bit_count() for w in gray_span(gf2_reduced_basis(basis))[1:])
 
 
 def _cut_graph_from_word(n: int, word: int) -> LabeledGraph:

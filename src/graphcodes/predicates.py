@@ -8,7 +8,9 @@ can test millions of symmetric differences without building graph objects.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     LabeledGraph,
@@ -402,9 +404,7 @@ def _odd_cycle_mask(n: int, bits: int) -> bool:
 
 def is_connected(g: LabeledGraph) -> bool:
     """One component covering every vertex (isolated vertices disconnect)."""
-    if g.n < 2:
-        raise DomainError("connectivity needs at least 2 vertices")
-    return _connected_mask(g.n, g.bits)
+    return CONNECTED.test(g)
 
 
 def vertex_connectivity(g: LabeledGraph) -> int:
@@ -415,40 +415,20 @@ def vertex_connectivity(g: LabeledGraph) -> int:
 
 
 def is_k_connected(g: LabeledGraph, k: int) -> bool:
-    if g.n < 2:
-        raise DomainError("connectivity needs at least 2 vertices")
-    if k < 1:
-        raise DomainError("k must be at least 1")
-    return _is_k_connected_mask(g.n, g.bits, k)
-
-
-def _check_ham_cap(n: int) -> None:
-    if n > _hamiltonian_cap:
-        raise CapabilityError(
-            f"n={n} exceeds the Hamiltonicity cap {_hamiltonian_cap}; "
-            "raise it with set_hamiltonian_cap"
-        )
+    return k_connected(k).test(g)
 
 
 def has_hamiltonian_path(g: LabeledGraph) -> bool:
-    if g.n < 2:
-        raise DomainError("a Hamiltonian path needs at least 2 vertices")
-    _check_ham_cap(g.n)
-    return _ham_path_mask(g.n, g.bits)
+    return HAMPATH.test(g)
 
 
 def has_hamiltonian_cycle(g: LabeledGraph) -> bool:
-    if g.n < 3:
-        raise DomainError("a Hamiltonian cycle needs at least 3 vertices")
-    _check_ham_cap(g.n)
-    return _ham_cycle_mask(g.n, g.bits)
+    return HAMCYCLE.test(g)
 
 
 def has_spanning_star(g: LabeledGraph) -> bool:
     """Some vertex adjacent to all others (degree n-1)."""
-    if g.n < 2:
-        raise DomainError("a spanning star needs at least 2 vertices")
-    return _spanning_star_mask(g.n, g.bits)
+    return STAR.test(g)
 
 
 def _check_pattern(pattern: LabeledGraph, need_edge: bool) -> None:
@@ -462,22 +442,50 @@ def _check_pattern(pattern: LabeledGraph, need_edge: bool) -> None:
 
 def contains_subgraph(g: LabeledGraph, pattern: LabeledGraph) -> bool:
     """Exact (not necessarily induced) subgraph isomorphism by backtracking."""
-    _check_pattern(pattern, need_edge=True)
-    return _contains_mask(g.n, g.bits, pattern.n, pattern.bits, induced=False)
+    return contains(pattern).test(g)
 
 
 def contains_induced(g: LabeledGraph, pattern: LabeledGraph) -> bool:
     """Exact induced subgraph isomorphism by backtracking."""
-    _check_pattern(pattern, need_edge=False)
-    return _contains_mask(g.n, g.bits, pattern.n, pattern.bits, induced=True)
+    return contains_induced_pred(pattern).test(g)
 
 
 def has_odd_cycle(g: LabeledGraph) -> bool:
-    return _odd_cycle_mask(g.n, g.bits)
+    return ODDCYCLE.test(g)
 
 
 # ---------------------------------------------------------------------------
 # predicate objects
+
+
+class _Kind(NamedTuple):
+    """What every predicate of one ``Predicate.kind`` shares."""
+
+    min_n: int  # smaller graphs raise DomainError(too_small)
+    too_small: str
+    ham_capped: bool  # subject to the Hamiltonicity cap
+    kernel: Callable[[Predicate, int, int], bool]  # (predicate, n, bits)
+
+
+_CONNECTIVITY_MIN = "connectivity needs at least 2 vertices"
+
+_KINDS: dict[str, _Kind] = {
+    "connected": _Kind(2, _CONNECTIVITY_MIN, False,
+                       lambda p, n, bits: _connected_mask(n, bits)),
+    "kconn": _Kind(2, _CONNECTIVITY_MIN, False,
+                   lambda p, n, bits: _is_k_connected_mask(n, bits, p.k)),
+    "hampath": _Kind(2, "a Hamiltonian path needs at least 2 vertices", True,
+                     lambda p, n, bits: _ham_path_mask(n, bits)),
+    "hamcycle": _Kind(3, "a Hamiltonian cycle needs at least 3 vertices", True,
+                      lambda p, n, bits: _ham_cycle_mask(n, bits)),
+    "star": _Kind(2, "a spanning star needs at least 2 vertices", False,
+                  lambda p, n, bits: _spanning_star_mask(n, bits)),
+    "contains": _Kind(0, "", False, lambda p, n, bits: _contains_mask(
+        n, bits, p.pattern.n, p.pattern.bits, False)),
+    "contains-induced": _Kind(0, "", False, lambda p, n, bits: _contains_mask(
+        n, bits, p.pattern.n, p.pattern.bits, True)),
+    "oddcycle": _Kind(0, "", False, lambda p, n, bits: _odd_cycle_mask(n, bits)),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -489,37 +497,20 @@ class Predicate:
     k: int | None = None
     pattern: LabeledGraph | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise DomainError(f"unknown predicate kind {self.kind!r}")
+
     def test_mask(self, n: int, bits: int) -> bool:
-        kind = self.kind
-        if kind == "connected":
-            if n < 2:
-                raise DomainError("connectivity needs at least 2 vertices")
-            return _connected_mask(n, bits)
-        if kind == "kconn":
-            if n < 2:
-                raise DomainError("connectivity needs at least 2 vertices")
-            return _is_k_connected_mask(n, bits, self.k)
-        if kind == "hampath":
-            if n < 2:
-                raise DomainError("a Hamiltonian path needs at least 2 vertices")
-            _check_ham_cap(n)
-            return _ham_path_mask(n, bits)
-        if kind == "hamcycle":
-            if n < 3:
-                raise DomainError("a Hamiltonian cycle needs at least 3 vertices")
-            _check_ham_cap(n)
-            return _ham_cycle_mask(n, bits)
-        if kind == "star":
-            if n < 2:
-                raise DomainError("a spanning star needs at least 2 vertices")
-            return _spanning_star_mask(n, bits)
-        if kind == "contains":
-            return _contains_mask(n, bits, self.pattern.n, self.pattern.bits, False)
-        if kind == "contains-induced":
-            return _contains_mask(n, bits, self.pattern.n, self.pattern.bits, True)
-        if kind == "oddcycle":
-            return _odd_cycle_mask(n, bits)
-        raise DomainError(f"unknown predicate kind {kind!r}")
+        min_n, too_small, ham_capped, kernel = _KINDS[self.kind]
+        if n < min_n:
+            raise DomainError(too_small)
+        if ham_capped and n > _hamiltonian_cap:
+            raise CapabilityError(
+                f"n={n} exceeds the Hamiltonicity cap {_hamiltonian_cap}; "
+                "raise it with set_hamiltonian_cap"
+            )
+        return kernel(self, n, bits)
 
     def test(self, g: LabeledGraph) -> bool:
         return self.test_mask(g.n, g.bits)
@@ -582,11 +573,11 @@ def parse_predicate(text: str, pattern_loader=None) -> Predicate:
             raise DomainError(f"bad k in {text!r}") from exc
         return k_connected(k)
     if text.startswith(("sub:", "indsub:")):
-        kind, path = text.split(":", 1)
+        prefix, path = text.split(":", 1)
         if pattern_loader is None:
             pattern_loader = _default_pattern_loader
         pattern = pattern_loader(path)
-        if kind == "sub":
+        if prefix == "sub":
             return contains(pattern, name=text)
         return contains_induced_pred(pattern, name=text)
     raise DomainError(f"unknown predicate {text!r}")

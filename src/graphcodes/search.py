@@ -50,6 +50,10 @@ class _Budget:
     __slots__ = ("nodes", "limit", "deadline")
 
     def __init__(self, budget_nodes: int | None, time_ms: int | None):
+        if budget_nodes is not None and budget_nodes < 0:
+            raise DomainError("the node budget must be at least 0")
+        if time_ms is not None and time_ms < 0:
+            raise DomainError("the time budget must be at least 0 ms")
         self.nodes = 0
         self.limit = budget_nodes if budget_nodes is not None else DEFAULT_BUDGET_NODES
         self.deadline = (
@@ -57,15 +61,18 @@ class _Budget:
         )
 
     def spend(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.limit:
+        """Count one expanded node; the node that would exceed the budget
+        raises instead and is not counted."""
+        nodes = self.nodes + 1
+        if nodes > self.limit:
             raise _BudgetExhausted
         if (
             self.deadline is not None
-            and self.nodes % 1024 == 0
+            and nodes % 1024 == 0
             and time.perf_counter() > self.deadline
         ):
             raise _BudgetExhausted
+        self.nodes = nodes
 
 
 def _max_clique(adj: list[int], budget: _Budget) -> tuple[list[int], bool]:
@@ -205,26 +212,14 @@ def max_dual_family(
 
 def linear_rank_bound(pred: Predicate, n: int) -> int | None:
     """A proven cap on the rank of a linear family for this predicate, where
-    one is known; used to stop the basis search early."""
-    if pred.kind == "connected" or pred.kind == "hampath":
-        return n - 1
-    if pred.kind == "hamcycle":
-        return n - 2
-    if pred.kind == "kconn":
-        if pred.k == 2:
-            return n - 2
-        if pred.k == 3:
-            # product bound via the degree-<=1 dual: M <= 2^(n-1) / n
-            return ((1 << (n - 1)) // n).bit_length() - 1
-        return None
-    if pred.kind == "star":
-        return bounds.star_upper_bound(n).bit_length() - 1
+    one is known; used to stop the basis search early.  The named predicates
+    take it from their theorem row, clique patterns from Turan's theorem."""
+    if pred.name in bounds.PREDICATES:
+        return bounds.bound_report(pred.name, n).upper.bit_length() - 1
     if pred.kind == "contains" and pred.pattern is not None:
         p = pred.pattern
         if p.bits == (1 << edge_slots(p.n)) - 1:  # clique pattern
             return bounds.subgraph_upper_bound(n, p.n)
-    if pred.kind == "oddcycle":
-        return bounds.subgraph_upper_bound(n, 3)
     return None
 
 

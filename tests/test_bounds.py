@@ -6,6 +6,7 @@ import pytest
 from graphcodes import (
     CapabilityError,
     DomainError,
+    GraphCodesError,
     UnsupportedParameterError,
     complete_graph,
     cycle_graph,
@@ -145,3 +146,13 @@ def test_bound_report_invariant():
         B.BoundReport(4, "x", 10, "a", 5, None, "b")
     rep = B.BoundReport(4, "x", 8, "a", 8, Fraction(3), "b")
     assert rep.tight
+
+
+def test_bound_report_domain():
+    for name in B.PREDICATES:
+        for n in (-2, 0, 1):
+            with pytest.raises(DomainError, match="need n >= 2"):
+                B.bound_report(name, n)
+        assert B.bound_report(name, 2).n == 2
+    with pytest.raises(GraphCodesError, match="no bound row"):
+        B.bound_report("kconn:4", 5)

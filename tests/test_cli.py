@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from graphcodes.cli import main
 from graphcodes.family import load_family, save_family
@@ -72,6 +75,30 @@ def test_bound_json(capsys):
     assert payload["lower"] == 16 and payload["upper"] == 16 and payload["tight"]
 
 
+def test_bound_and_table_outputs_are_pinned(capsys):
+    names = ("connected", "2conn", "3conn", "hampath", "hamcycle", "star",
+             "k3", "oddcycle")
+    digest = hashlib.sha256()
+    for name in names:
+        for n in range(2, 17):
+            for extra in ((), ("--json",)):
+                assert run("bound", "--pred", name, "--n", str(n), *extra) == 0
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == \
+        "0d81a5f8a38361dc8fb537f12db79b4d6173de4f20ce46543c3fe12e0c98a150"
+    assert run("table", "--range", "3..14", "--json") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "071926d974ff47a34f121f53bc7e8ee1ae88764300d25fbe4e148976e68f47a9"
+
+
+@pytest.mark.parametrize("pred", ("connected", "3conn", "hamcycle", "star",
+                                  "k3"))
+@pytest.mark.parametrize("n", ("-2", "0", "1"))
+def test_bound_rejects_n_below_two(capsys, pred, n):
+    assert run("bound", "--pred", pred, "--n", n) == 2
+    assert "error: need n >= 2" in capsys.readouterr().err
+
+
 def test_search_cli(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert run("search", "--pred", "k3", "--n", "4", "--mode", "good",
@@ -94,6 +121,14 @@ def test_search_json_counters(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rank"] == 2
     assert payload["candidates"] is None and payload["compat_edges"] is None
+
+
+@pytest.mark.parametrize("mode", ("good", "dual", "linear"))
+@pytest.mark.parametrize("flag", ("--budget-nodes", "--time-ms"))
+def test_search_rejects_negative_budgets(capsys, mode, flag):
+    assert run("search", "--pred", "k3", "--n", "4", "--mode", mode,
+               flag, "-1") == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_search_expect_failure(capsys):

@@ -5,6 +5,7 @@ import pytest
 from graphcodes import (
     CapabilityError,
     DomainError,
+    GraphCodesError,
     LabeledGraph,
     complete_bipartite_graph,
     complete_graph,
@@ -225,6 +226,84 @@ def test_predicate_domain_guards():
         parse_predicate("hamcycle").test(empty_graph(2))
     with pytest.raises(DomainError):
         parse_predicate("connected").test(empty_graph(1))
+
+
+WRAPPERS = (
+    (is_connected, P.CONNECTED),
+    (lambda g: is_k_connected(g, 1), k_connected(1)),
+    (lambda g: is_k_connected(g, 2), P.TWO_CONNECTED),
+    (lambda g: is_k_connected(g, 3), P.THREE_CONNECTED),
+    (lambda g: is_k_connected(g, 4), k_connected(4)),
+    (has_hamiltonian_path, P.HAMPATH),
+    (has_hamiltonian_cycle, P.HAMCYCLE),
+    (has_spanning_star, P.STAR),
+    (lambda g: contains_subgraph(g, complete_graph(3)), P.K3),
+    (lambda g: contains_subgraph(g, path_graph(3)), P.contains(path_graph(3))),
+    (lambda g: contains_induced(g, path_graph(3)),
+     P.contains_induced_pred(path_graph(3))),
+    (has_odd_cycle, P.ODDCYCLE),
+)
+
+
+def outcome(test, g):
+    try:
+        return test(g)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_public_wrappers_match_predicates_on_all_small_graphs():
+    for n in range(1, 6):
+        for bits in range(1 << edge_slots(n)):
+            g = LabeledGraph(n, bits)
+            for wrapper, pred in WRAPPERS:
+                assert outcome(wrapper, g) == outcome(pred.test, g), \
+                    (pred.name, n, bits)
+
+
+CONNECTIVITY_MIN = "connectivity needs at least 2 vertices"
+
+
+@pytest.mark.parametrize("call, cls, message", [
+    (lambda: is_connected(empty_graph(1)), DomainError, CONNECTIVITY_MIN),
+    (lambda: P.CONNECTED.test_mask(1, 0), DomainError, CONNECTIVITY_MIN),
+    (lambda: is_k_connected(empty_graph(1), 2), DomainError, CONNECTIVITY_MIN),
+    (lambda: P.TWO_CONNECTED.test_mask(1, 0), DomainError, CONNECTIVITY_MIN),
+    (lambda: vertex_connectivity(empty_graph(1)), DomainError, CONNECTIVITY_MIN),
+    (lambda: has_hamiltonian_path(empty_graph(1)), DomainError,
+     "a Hamiltonian path needs at least 2 vertices"),
+    (lambda: P.HAMPATH.test_mask(1, 0), DomainError,
+     "a Hamiltonian path needs at least 2 vertices"),
+    (lambda: has_hamiltonian_cycle(empty_graph(2)), DomainError,
+     "a Hamiltonian cycle needs at least 3 vertices"),
+    (lambda: P.HAMCYCLE.test_mask(2, 0), DomainError,
+     "a Hamiltonian cycle needs at least 3 vertices"),
+    (lambda: has_spanning_star(empty_graph(1)), DomainError,
+     "a spanning star needs at least 2 vertices"),
+    (lambda: P.STAR.test_mask(1, 0), DomainError,
+     "a spanning star needs at least 2 vertices"),
+    (lambda: has_hamiltonian_path(empty_graph(17)), CapabilityError,
+     "n=17 exceeds the Hamiltonicity cap 16; raise it with set_hamiltonian_cap"),
+    (lambda: has_hamiltonian_cycle(empty_graph(17)), CapabilityError,
+     "n=17 exceeds the Hamiltonicity cap 16; raise it with set_hamiltonian_cap"),
+    (lambda: P.HAMPATH.test_mask(17, 0), CapabilityError,
+     "n=17 exceeds the Hamiltonicity cap 16; raise it with set_hamiltonian_cap"),
+    (lambda: is_k_connected(complete_graph(4), 0), DomainError,
+     "k must be at least 1"),
+    (lambda: k_connected(0), DomainError, "k must be at least 1"),
+    (lambda: contains_subgraph(complete_graph(10), complete_graph(9)),
+     CapabilityError, "pattern on 9 vertices exceeds the cap 8"),
+    (lambda: contains_induced(complete_graph(10), complete_graph(9)),
+     CapabilityError, "pattern on 9 vertices exceeds the cap 8"),
+    (lambda: contains_subgraph(complete_graph(4), empty_graph(3)), DomainError,
+     "subgraph containment needs a pattern with an edge"),
+    (lambda: P.Predicate("x", "bogus"), DomainError,
+     "unknown predicate kind 'bogus'"),
+])
+def test_bad_input_errors(call, cls, message):
+    with pytest.raises(GraphCodesError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (cls, message)
 
 
 def test_vertex_limit_is_configurable():

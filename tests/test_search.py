@@ -1,6 +1,6 @@
 import pytest
 
-from graphcodes import CapabilityError, GraphFamily
+from graphcodes import CapabilityError, DomainError, GraphFamily, complete_graph
 from graphcodes import constructions as C
 from graphcodes import predicates as P
 from graphcodes import search as S
@@ -60,6 +60,23 @@ def test_budget_exhaustion_reports_timeout():
         if len(result.certificate) >= 2 else True
 
 
+def test_negative_budgets_are_rejected():
+    for search in (S.max_good_family, S.max_dual_family, S.max_linear_family):
+        with pytest.raises(DomainError, match="node budget"):
+            search(3, P.K3, budget_nodes=-1)
+        with pytest.raises(DomainError, match="time budget"):
+            search(3, P.K3, time_ms=-5)
+    assert S.max_good_family(3, P.K3, budget_nodes=0, time_ms=0).explored == 0
+
+
+def test_explored_counts_expanded_nodes_only():
+    # the node that would exceed the budget is not expanded, so not counted
+    for limit in (1, 1000):
+        result = S.max_good_family(5, P.HAMPATH, budget_nodes=limit)
+        assert (result.status, result.explored) == ("timeout", limit)
+    assert S.max_linear_family(5, P.K3, budget_nodes=10).explored == 10
+
+
 def test_max_linear_small():
     r = S.max_linear_family(3, P.K3)
     assert (r.rank, r.optimum, r.status) == (1, 2, "exact")
@@ -81,6 +98,27 @@ def test_max_linear_never_beats_max_good():
 def test_max_linear_respects_rank_cap():
     r = S.max_linear_family(4, P.CONNECTED, max_rank=2)
     assert r.rank == 2 and r.optimum == 4
+
+
+def test_linear_rank_bound_table():
+    # the rank caps for n = 2..12, as the search used them before the
+    # named predicates took them from their theorem rows
+    expected = {
+        "connected": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+        "2conn": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+        "3conn": [0, 0, 1, 1, 2, 3, 4, 4, 5, 6, 7],
+        "hampath": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+        "hamcycle": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+        "star": [1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3],
+        "k3": [0, 1, 2, 4, 6, 9, 12, 16, 20, 25, 30],
+        "oddcycle": [0, 1, 2, 4, 6, 9, 12, 16, 20, 25, 30],
+        "kconn:4": [None] * 11,
+        "sub:4v/3f": [0, 0, 1, 2, 3, 5, 7, 9, 12, 15, 18],
+    }
+    preds = [P.parse_predicate(name) for name in list(expected)[:9]]
+    preds.append(P.contains(complete_graph(4)))
+    assert {p.name: [S.linear_rank_bound(p, n) for n in range(2, 13)]
+            for p in preds} == expected
 
 
 def test_linear_timeout_is_labeled():
