@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bounds, constructions, search
@@ -25,9 +26,17 @@ from .verify import (
 )
 
 
+def _fits_str(x: int) -> bool:
+    """str(x) stays within the interpreter's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return limit == 0 or x < 10 ** limit
+
+
 def _fmt_size(x: int) -> str:
     if x >= 1 << 16 and x & (x - 1) == 0:
         return f"2^{x.bit_length() - 1}"
+    if not _fits_str(x):
+        return f"~2^{math.log2(x):.6f}"
     return str(x)
 
 
@@ -133,6 +142,9 @@ def _cmd_bound(args) -> int:
     dual = bounds.dual_report(args.pred, args.n)
     if args.json:
         payload = bounds.report_to_dict(rep)
+        for key in ("lower", "upper"):  # JSON prints ints through str
+            if payload[key] is not None and not _fits_str(payload[key]):
+                payload[key] = _fmt_size(payload[key])
         if dual is not None:
             payload["dual"] = {
                 "lower_log2": str(dual["lower_log2"]),

@@ -69,15 +69,22 @@ def incidence_masks(n: int) -> tuple[int, ...]:
 
 
 def adjacency_masks(n: int, bits: int) -> list[int]:
-    """Neighbor bitmasks per vertex (0-based): bit u of adj[v] <=> edge {u+1, v+1}."""
+    """Neighbor bitmasks per vertex (0-based): bit u of adj[v] <=> edge {u+1, v+1}.
+
+    In colex order the lower neighbors of vertex j are the j slots starting at
+    j(j-1)/2, so each row is one shift and one mask; the upper half is filled
+    in from the set bits of the rows."""
     adj = [0] * n
-    idx = 0
+    off = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits >> idx & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
+        row = bits >> off & ((1 << j) - 1)
+        off += j
+        adj[j] = row
+        bit = 1 << j
+        while row:
+            low = row & -row
+            adj[low.bit_length() - 1] |= bit
+            row ^= low
     return adj
 
 

@@ -62,15 +62,19 @@ def _connected_mask(n: int, bits: int) -> bool:
     return _connected_from_adj(adjacency_masks(n, bits), (1 << n) - 1)
 
 
-def _biconnected_from_adj(n: int, adj: list[int]) -> bool:
-    """No articulation vertex and connected, via one DFS with lowlinks."""
+def _biconnected_from_adj(n: int, adj: list[int], keep: int | None = None) -> bool:
+    """No articulation vertex and connected, via one DFS with lowlinks, on the
+    subgraph induced by the vertex mask ``keep`` (default: every vertex)."""
+    if keep is None:
+        keep = (1 << n) - 1
+    root = (keep & -keep).bit_length() - 1
     disc = [0] * n
     low = [0] * n
     timer = 1
-    disc[0] = low[0] = 1
+    disc[root] = low[root] = 1
     root_children = 0
-    stack = [(0, -1)]
-    pending = [adj[0]]
+    stack = [(root, -1)]
+    pending = [adj[root] & keep]
     while stack:
         v, parent = stack[-1]
         m = pending[-1]
@@ -86,10 +90,10 @@ def _biconnected_from_adj(n: int, adj: list[int]) -> bool:
             else:
                 timer += 1
                 disc[u] = low[u] = timer
-                if v == 0:
+                if v == root:
                     root_children += 1
                 stack.append((u, v))
-                pending.append(adj[u])
+                pending.append(adj[u] & keep)
         else:
             stack.pop()
             pending.pop()
@@ -97,11 +101,11 @@ def _biconnected_from_adj(n: int, adj: list[int]) -> bool:
                 p = stack[-1][0]
                 if low[v] < low[p]:
                     low[p] = low[v]
-                if p != 0 and low[v] >= disc[p]:
+                if p != root and low[v] >= disc[p]:
                     return False
     if root_children > 1:
         return False
-    return all(disc)
+    return timer == keep.bit_count()
 
 
 def _max_flow_at_most(n: int, adj: list[int], s: int, t: int, cap: int) -> int:
@@ -225,6 +229,10 @@ def _is_k_connected_mask(n: int, bits: int, k: int) -> bool:
         return False
     if k == 2:
         return _biconnected_from_adj(n, adj)
+    if k == 3:  # n >= 4 here, so kappa >= 3 iff every G - v is 2-connected
+        full = (1 << n) - 1
+        return all(_biconnected_from_adj(n, adj, full ^ (1 << v))
+                   for v in range(n))
     if bits == (1 << edge_slots(n)) - 1:
         return True
     for s, t in _cut_pairs(n, adj):

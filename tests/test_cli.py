@@ -91,6 +91,21 @@ def test_bound_and_table_outputs_are_pinned(capsys):
         "071926d974ff47a34f121f53bc7e8ee1ae88764300d25fbe4e148976e68f47a9"
 
 
+def test_bound_past_the_int_to_str_limit(capsys):
+    # the odd-2conn lower bound at n = 20001 has about 6,000 decimal digits,
+    # more than the interpreter turns into a string; it prints as a log2
+    assert run("bound", "--pred", "2conn", "--n", "20001") == 0
+    assert capsys.readouterr().out == (
+        "predicate 2conn, n=20001\n"
+        "M >= ~2^19998.991838 (odd-2conn)\n"
+        "M <= 2^19999 (product bound via dual-pendant)\n"
+        "tight: no\n")
+    assert run("bound", "--pred", "2conn", "--n", "20001", "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["lower"], payload["upper"], payload["tight"]) == \
+        ("~2^19998.991838", "2^19999", False)
+
+
 @pytest.mark.parametrize("pred", ("connected", "3conn", "hamcycle", "star",
                                   "k3"))
 @pytest.mark.parametrize("n", ("-2", "0", "1"))

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from graphcodes import (
     save_family,
     load_family,
 )
+from graphcodes.core import adjacency_masks
 from graphcodes.family import family_to_json
 
 
@@ -48,6 +50,32 @@ def test_edge_index_colex_increasing():
     pairs = [(i, j) for j in range(2, 8) for i in range(1, j)]
     indices = [edge_index(i, j, 7) for i, j in pairs]
     assert indices == sorted(indices) == list(range(len(pairs)))
+
+
+def reference_adjacency(n, bits):
+    adj = [0] * n
+    for slot in range(edge_slots(n)):
+        if bits >> slot & 1:
+            i, j = edge_from_index(slot, n)
+            adj[i - 1] |= 1 << (j - 1)
+            adj[j - 1] |= 1 << (i - 1)
+    return adj
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_adjacency_masks_match_slot_reference(n):
+    # every kernel and oracle decodes through adjacency_masks, so agreement
+    # between them cannot catch a decode bug; this reference can
+    rng = random.Random(n)
+    full = (1 << edge_slots(n)) - 1
+    for bits in (0, full, rng.getrandbits(edge_slots(n)),
+                 rng.getrandbits(edge_slots(n)) & rng.getrandbits(edge_slots(n))):
+        adj = adjacency_masks(n, bits)
+        assert adj == reference_adjacency(n, bits)
+        for v in range(n):
+            assert not adj[v] >> v & 1
+            for u in range(n):
+                assert adj[v] >> u & 1 == adj[u] >> v & 1
 
 
 def test_sym_diff_self_inverse_and_identity():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcodes import (
     CapabilityError,
@@ -12,6 +13,7 @@ from graphcodes import (
     contains_induced,
     contains_subgraph,
     cycle_graph,
+    edge_index,
     edge_slots,
     empty_graph,
     graph_from_edges,
@@ -316,3 +318,132 @@ def test_vertex_limit_is_configurable():
     finally:
         core.set_vertex_limit(core.DEFAULT_VERTEX_LIMIT)
     assert empty_graph(6).n == 6
+
+
+# ---------------------------------------------------------------------------
+# 3-connectivity by vertex-deleted biconnectivity, against Menger max-flow
+
+
+def maxflow_3conn(n, bits):
+    return P._kappa_mask(n, bits, 3) >= 3
+
+
+@pytest.mark.parametrize("n, count", [(4, 1), (5, 26), (6, 1768)])
+def test_3conn_matches_max_flow_on_all_small_graphs(n, count):
+    found = 0
+    for bits in range(1 << edge_slots(n)):
+        got = P.THREE_CONNECTED.test_mask(n, bits)
+        assert got == maxflow_3conn(n, bits), (n, bits)
+        found += got
+    # labeled 3-connected graphs on n vertices (OEIS A013922)
+    assert found == count
+
+
+def random_bits(n, density, rng):
+    return sum(1 << s for s in range(edge_slots(n)) if rng.random() < density)
+
+
+def near_cubic_bits(n, rng):
+    """A Hamiltonian cycle plus a random matching, then a few edges flipped."""
+    order = rng.sample(range(1, n + 1), n)
+    edges = {frozenset(p) for p in zip(order, order[1:] + order[:1])}
+    rest = order[:]
+    rng.shuffle(rest)
+    edges |= {frozenset(rest[i:i + 2]) for i in range(0, n - 1, 2)}
+    bits = sum(1 << edge_index(min(e), max(e), n) for e in edges)
+    for _ in range(rng.randint(0, 2)):
+        bits ^= 1 << rng.randrange(edge_slots(n))
+    return bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 16), st.sampled_from((0.2, 0.35, 0.5, 0.7, 0.9, None)),
+       st.randoms(use_true_random=False))
+def test_3conn_matches_max_flow_on_random_graphs(n, density, rng):
+    if density is None:
+        bits = near_cubic_bits(n, rng)
+    else:
+        bits = random_bits(n, density, rng)
+    assert P.THREE_CONNECTED.test_mask(n, bits) == maxflow_3conn(n, bits)
+
+
+def wheel(k):
+    """Hub 1 joined to every vertex of the cycle 2..k."""
+    rim = list(range(2, k + 1))
+    return graph_from_edges(k, [(1, v) for v in rim]
+                            + [(min(a, b), max(a, b))
+                               for a, b in zip(rim, rim[1:] + rim[:1])])
+
+
+def petersen():
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    return graph_from_edges(10, outer + spokes
+                            + [(min(a, b), max(a, b)) for a, b in inner])
+
+
+def cube():
+    return graph_from_edges(8, [(a + 1, b + 1) for a in range(8) for b in range(8)
+                                if a < b and (a ^ b).bit_count() == 1])
+
+
+def prism():
+    return graph_from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6),
+                                (1, 4), (2, 5), (3, 6)])
+
+
+def two_k5_on_two_vertices():
+    """K5 on {1..5} and K5 on {1, 2, 6, 7, 8}: min degree 4, {1, 2} cuts."""
+    edges = {(a, b) for part in ((1, 2, 3, 4, 5), (1, 2, 6, 7, 8))
+             for a in part for b in part if a < b}
+    return graph_from_edges(8, sorted(edges))
+
+
+def two_k4s():
+    """Two disjoint K4's: min degree 3 and disconnected."""
+    return graph_from_edges(8, [(a, b) for part in ((1, 2, 3, 4), (5, 6, 7, 8))
+                                for a in part for b in part if a < b])
+
+
+@pytest.mark.parametrize("g, expected", [
+    (complete_graph(4), True),
+    (complete_graph(4) ^ graph_from_edges(4, [(1, 2)]), False),
+    (complete_bipartite_graph(6, {1, 2, 3}), True),
+    (petersen(), True),
+    (cube(), True),
+    (prism(), True),
+    (wheel(5), True),
+    (wheel(6), True),
+    (wheel(7), True),
+    (wheel(8), True),
+    (two_k5_on_two_vertices(), False),
+    (two_k4s(), False),
+])
+def test_3conn_named_graphs(g, expected):
+    assert is_k_connected(g, 3) is expected
+    assert (vertex_connectivity(g) >= 3) is expected
+
+
+@pytest.mark.parametrize("g, k, kappa", [
+    (two_k5_on_two_vertices(), 3, 2),
+    (two_k4s(), 3, 0),
+    (graph_from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]), 2, 0),
+])
+def test_connectivity_rejection_past_the_degree_prefilters(g, k, kappa):
+    # only the lowlink DFS can reject these: min degree and edge count pass
+    assert min(g.degree_sequence()) >= k
+    assert 2 * g.num_edges >= k * g.n
+    assert vertex_connectivity(g) == kappa
+    assert not is_k_connected(g, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_biconnected_keep_mask_matches_induced_subgraph(n, data):
+    bits = data.draw(st.integers(0, (1 << edge_slots(n)) - 1))
+    keep = data.draw(st.integers(1, (1 << n) - 1))
+    g = LabeledGraph(n, bits)
+    sub = g.induced_subgraph([v + 1 for v in range(n) if keep >> v & 1])
+    assert P._biconnected_from_adj(n, g.adjacency(), keep) == \
+        P._biconnected_from_adj(sub.n, sub.adjacency())

@@ -157,7 +157,7 @@ def test_hampath_n5_search_tree_and_counters():
 
 @pytest.mark.slow
 def test_linear_3conn_n7_matches_hamming_rank():
-    # ~10 minutes single-core: scans the 2^21 masks for 3-connected
+    # ~6.5 minutes single-core: scans the 2^21 masks for 3-connected
     # candidates and stops at the proven rank cap
     result = S.max_linear_family(7, P.THREE_CONNECTED)
     assert result.status == "exact"
