@@ -185,6 +185,7 @@ def _cmd_search(args) -> int:
             "explored": result.explored, "rank": result.rank,
             "out": args.out, "candidates": result.candidates,
             "compat_edges": result.compat_edges,
+            "size_floor": result.size_floor, "size_cap": result.size_cap,
         }))
     else:
         line = (f"optimum {result.optimum} [{result.status}], "

@@ -40,9 +40,18 @@ class SearchResult:
     # edges of the compatibility graph among them
     candidates: int | None = None
     compat_edges: int | None = None
+    # good searches on a named predicate: the family sizes of its theorem
+    # row the search started from (the construction) and stopped at (the
+    # proven bound), None where the row has no such value
+    size_floor: int | None = None
+    size_cap: int | None = None
 
 
 class _BudgetExhausted(Exception):
+    pass
+
+
+class _CapReached(Exception):
     pass
 
 
@@ -75,7 +84,9 @@ class _Budget:
         self.nodes = nodes
 
 
-def _max_clique(adj: list[int], budget: _Budget) -> tuple[list[int], bool]:
+def _max_clique(
+    adj: list[int], budget: _Budget, floor: int = 0, cap: int | None = None
+) -> tuple[list[int], bool]:
     """Deterministic branch and bound (greedy coloring bound) over vertices
     0..len(adj)-1 in index order.  Returns (clique, exhausted): the clique is
     a maximum one unless the budget ran out, then the incumbent.
@@ -87,16 +98,26 @@ def _max_clique(adj: list[int], budget: _Budget) -> tuple[list[int], bool]:
     order builds (a vertex joins the first class holding none of its
     neighbors), so the bounds and the branching order -- highest color
     first, highest index first within a class -- are those of first-fit
-    coloring sorted by color."""
+    coloring sorted by color.
+
+    Only cliques larger than ``floor`` are sought: a subtree is pruned when
+    its bound is at most max(floor, len(best)).  The incumbent never changes
+    the branching order, so a floor below the clique number prunes only
+    subtrees without a maximum clique, and the first maximum clique in
+    depth-first order is still the one returned; with a floor at or above
+    the clique number the clique comes back empty.  The search stops as soon
+    as the clique reaches ``cap``, a proven bound on the clique number."""
     best: list[int] = []
+    size = floor  # max(floor, len(best))
     nadj = [~a for a in adj]
 
     def expand(r: list[int], p: int) -> None:
-        nonlocal best
+        nonlocal best, size
         budget.spend()
-        # classes with color <= len(best) - len(r) are never branched on
-        # (best only grows), so they are colored but not kept
-        floor = len(best) - len(r)
+        depth = len(r)
+        # classes with color <= size - depth are never branched on (size
+        # only grows), so they are colored but not kept
+        skip = size - depth
         classes: list[int] = []
         color = 0
         q = p
@@ -107,13 +128,12 @@ def _max_clique(adj: list[int], budget: _Budget) -> tuple[list[int], bool]:
                 low = avail & -avail
                 q ^= low
                 avail = (avail ^ low) & nadj[low.bit_length() - 1]
-            if color > floor:
+            if color > skip:
                 classes.append(start ^ q)
-        depth = len(r)
         while classes:
             members = classes.pop()
             while members:
-                if depth + color <= len(best):
+                if depth + color <= size:
                     return
                 v = members.bit_length() - 1
                 bit = 1 << v
@@ -121,8 +141,11 @@ def _max_clique(adj: list[int], budget: _Budget) -> tuple[list[int], bool]:
                 nxt = p & adj[v]
                 if nxt:
                     expand(r, nxt)
-                elif depth + 1 > len(best):
+                elif depth + 1 > size:
                     best = r.copy()
+                    size = depth + 1
+                    if cap is not None and size >= cap:
+                        raise _CapReached
                 r.pop()
                 p ^= bit
                 members ^= bit
@@ -134,12 +157,17 @@ def _max_clique(adj: list[int], budget: _Budget) -> tuple[list[int], bool]:
             expand([], (1 << len(adj)) - 1)
     except _BudgetExhausted:
         exhausted = True
+    except _CapReached:
+        pass
     return best, exhausted
 
 
-def _compatibility_search(
-    n: int, pred: Predicate, expect: bool, budget_nodes, time_ms, mode: str
-) -> SearchResult:
+def _compatibility_graph(
+    n: int, pred: Predicate, expect: bool
+) -> tuple[list[int], list[int]]:
+    """(candidates, adjacency): the nonzero masks whose predicate verdict is
+    ``expect``, ascending, and for each one the bitset of the candidates
+    whose difference with it has that verdict too."""
     slots = edge_slots(n)
     test = pred.test_mask
     # one predicate call per mask: table[d] says whether difference d is
@@ -153,8 +181,37 @@ def _compatibility_search(
             if table[ci ^ cands[j]]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
+    return cands, adj
+
+
+def _theorem_seed(pred: Predicate, n: int) -> tuple[int | None, int | None]:
+    """(lower, upper): the family sizes a good search on this predicate may
+    start from and stop at.  ``lower`` is the size of the theorem row's
+    construction and ``upper`` its proven bound, kept only where it covers
+    every family (the 3conn row caps linear families alone); None where
+    there is no row or no such value."""
+    if pred.name not in bounds.PREDICATES:
+        return None, None
+    rep = bounds.bound_report(pred.name, n)
+    return rep.lower, rep.upper if rep.predicate == pred.name else None
+
+
+def _compatibility_search(
+    n: int, pred: Predicate, expect: bool, budget_nodes, time_ms, mode: str
+) -> SearchResult:
+    cands, adj = _compatibility_graph(n, pred, expect)
+    lower, upper = _theorem_seed(pred, n) if mode == "good" else (None, None)
+    # in clique sizes, which leave out the pinned empty graph: beating
+    # lower - 2 means reaching a family as large as the construction
+    floor = max(lower - 2, 0) if lower is not None else 0
+    cap = upper - 1 if upper is not None else None
     budget = _Budget(budget_nodes, time_ms)
-    clique, exhausted = _max_clique(adj, budget)
+    clique, exhausted = _max_clique(adj, budget, floor, cap)
+    if floor and not exhausted and not clique:
+        raise RuntimeError(
+            f"internal error: the theorem row of {pred.name} at n={n} claims "
+            f"a family of {lower}, but the exact search found none that large"
+        )
     status = "timeout" if exhausted else "exact"
     masks = sorted([0] + [cands[i] for i in clique])
     certificate = GraphFamily(
@@ -170,6 +227,8 @@ def _compatibility_search(
         status=status,
         candidates=len(cands),
         compat_edges=sum(a.bit_count() for a in adj) // 2,
+        size_floor=lower,
+        size_cap=upper,
     )
 
 
@@ -182,7 +241,15 @@ def max_good_family(
     """Exact largest family whose pairwise differences satisfy the predicate.
 
     Translation symmetry pins the empty graph into the family, so this is
-    1 + the clique number among the predicate-satisfying graphs."""
+    1 + the clique number among the predicate-satisfying graphs.
+
+    A named predicate's theorem row seeds the search: it looks only for
+    families at least as large as the row's construction (``size_floor``)
+    and stops once it reaches the row's upper bound (``size_cap``), where
+    that bound covers every family.  The certificate is the one an unseeded
+    search finds.  So a search that times out has searched only at or above
+    the construction's size; its incumbent may then be the empty graph
+    alone, and ``build`` gives the construction's family."""
     if n > GOOD_EXACT_LIMIT:
         raise CapabilityError(
             f"exact good-family search is limited to n <= {GOOD_EXACT_LIMIT}"
@@ -271,6 +338,16 @@ def max_linear_family(
                     return m
         return None
 
+    def satisfies(m: int) -> bool:
+        # below the scan frontier a mask satisfies the predicate iff it was
+        # cached, so only unclassified masks reach the kernel.  The empty
+        # graph is never cached: a g inside the span puts it into span + g,
+        # and g is refused even where the predicate holds on the empty graph
+        if m < scan_state[0]:
+            idx = bisect_left(cand_cache, m)
+            return idx < len(cand_cache) and cand_cache[idx] == m
+        return test(n, m)
+
     best_basis: list[int] = []
     done = False
 
@@ -291,7 +368,7 @@ def max_linear_family(
             at_least = g + 1
             budget.spend()
             new = [s ^ g for s in span]
-            if all(test(n, x) for x in new):
+            if all(satisfies(x) for x in new):
                 extend(basis + [g], span + new, g + 1)
 
     status = "exact"

@@ -128,9 +128,9 @@ def test_search_json_counters(capsys):
     assert run("search", "--pred", "k3", "--n", "4", "--mode", "good",
                "--json") == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload == {"optimum": 4, "status": "exact", "explored": 4,
+    assert payload == {"optimum": 4, "status": "exact", "explored": 3,
                        "rank": None, "out": None, "candidates": 23,
-                       "compat_edges": 60}
+                       "compat_edges": 60, "size_floor": 4, "size_cap": 4}
     assert run("search", "--pred", "k3", "--n", "4", "--mode", "linear",
                "--json") == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,6 +1,11 @@
+import collections
+import dataclasses
+
 import pytest
 
-from graphcodes import CapabilityError, DomainError, GraphFamily, complete_graph
+from graphcodes import (CapabilityError, DomainError, GraphFamily,
+                        complete_graph, empty_graph)
+from graphcodes import bounds
 from graphcodes import constructions as C
 from graphcodes import predicates as P
 from graphcodes import search as S
@@ -121,6 +126,35 @@ def test_linear_rank_bound_table():
             for p in preds} == expected
 
 
+def test_linear_search_answers_classified_masks_from_its_cache(monkeypatch):
+    calls = collections.Counter()
+    kernel = P.Predicate.test_mask
+
+    def counting(self, n, bits):
+        calls[bits] += 1
+        return kernel(self, n, bits)
+
+    monkeypatch.setattr(P.Predicate, "test_mask", counting)
+    r = S.max_linear_family(6, P.CONNECTED)
+    assert (r.rank, r.optimum, r.status, r.explored) == (5, 32, "exact", 30_433)
+    # 83,269 calls on the same masks (and the empty graph, met when g lies
+    # in the span) when every member of span + g went to the kernel
+    assert (sum(calls.values()), len(calls)) == (39_051, 20_543)
+
+
+def test_linear_search_refuses_a_basis_vector_inside_the_span():
+    # the empty graph has an independent 3-set.  When the zero member of
+    # span + g went to the kernel, a g inside the span was admitted, so the
+    # basis filled up to C(n,2) vectors early and the search stopped,
+    # reporting exact: rank 3 at n=4 after 19 nodes, rank 4 at n=5
+    pred = P.contains_induced_pred(empty_graph(3), "indsub:edgeless-3")
+    r = S.max_linear_family(4, pred)
+    assert (r.rank, r.optimum, r.status, r.explored) == (3, 8, "exact", 1_861)
+    r = S.max_linear_family(5, pred, budget_nodes=200)
+    assert (r.rank, r.optimum, r.status) == (6, 64, "timeout")
+    assert verify_family(r.certificate, pred).passed
+
+
 def test_linear_timeout_is_labeled():
     r = S.max_linear_family(5, P.K3, budget_nodes=10)
     assert r.status == "timeout"
@@ -147,17 +181,81 @@ def test_extended_good_search_n5():
 
 
 def test_hampath_n5_search_tree_and_counters():
-    # pins the size of the branch-and-bound tree and the search counters
+    # pins the size of the unseeded branch-and-bound tree, the seeded one
+    # (the theorem row's floor 14 and cap 15 cut it) and the search counters
+    cands, adj = S._compatibility_graph(5, P.HAMPATH, True)
+    budget = S._Budget(None, None)
+    clique, exhausted = S._max_clique(adj, budget)
+    assert (len(clique), exhausted, budget.nodes) == (15, False, 187_756)
     result = S.max_good_family(5, P.HAMPATH)
     assert (result.status, result.optimum, result.explored) == \
-        ("exact", 16, 187_756)
+        ("exact", 16, 1_660)
     assert (result.candidates, result.compat_edges) == (633, 116_658)
+    assert (result.size_floor, result.size_cap) == (16, 16)
+    assert result.certificate.masks() == sorted([0] + [cands[i] for i in clique])
     assert verify_family(result.certificate, P.HAMPATH).passed
+
+
+@pytest.mark.parametrize("pred", (P.K3, P.ODDCYCLE), ids=lambda p: p.name)
+def test_triangle_and_odd_cycle_n5_optimum(pred):
+    # the seeded search finishes in well under a second; unseeded it took
+    # 1.19 M (k3) and 3.13 M (oddcycle) nodes
+    result = S.max_good_family(5, pred)
+    assert (result.status, result.optimum) == ("exact", 16)
+    assert verify_family(result.certificate, pred).passed
+
+
+NAMED = (P.CONNECTED, P.TWO_CONNECTED, P.THREE_CONNECTED, P.HAMPATH,
+         P.HAMCYCLE, P.STAR, P.K3, P.ODDCYCLE)
+
+
+def _seed_cases():
+    for pred in NAMED:
+        for n in range(3 if pred is P.HAMCYCLE else 2, 6):
+            if (pred, n) == (P.HAMPATH, 5):
+                continue  # test_hampath_n5_search_tree_and_counters
+            # unseeded, these two take about 35 s and 90 s
+            slow = n == 5 and pred in (P.K3, P.ODDCYCLE)
+            yield pytest.param(pred, n, id=f"{pred.name}-{n}",
+                               marks=[pytest.mark.slow] if slow else [])
+
+
+@pytest.mark.parametrize("pred, n", _seed_cases())
+def test_seeded_search_matches_unseeded(monkeypatch, pred, n):
+    seeded = S.max_good_family(n, pred)
+    with monkeypatch.context() as m:
+        m.setattr(S, "_theorem_seed", lambda pred, n: (None, None))
+        plain = S.max_good_family(n, pred)
+    assert (seeded.certificate.masks(), seeded.optimum, seeded.status) == \
+        (plain.certificate.masks(), plain.optimum, plain.status)
+    assert seeded.explored <= plain.explored
+    assert (plain.size_floor, plain.size_cap) == (None, None)
+    rep = bounds.bound_report(pred.name, n)
+    assert seeded.size_floor == rep.lower
+    assert seeded.size_cap == (None if pred is P.THREE_CONNECTED else rep.upper)
+
+
+def test_dual_and_unnamed_searches_are_unseeded():
+    assert S._theorem_seed(P.contains(complete_graph(4)), 5) == (None, None)
+    result = S.max_dual_family(4, P.CONNECTED)
+    assert (result.size_floor, result.size_cap) == (None, None)
+
+
+def test_wrong_theorem_row_is_an_internal_error(monkeypatch):
+    # hampath n=4: no construction, bound 8, exact optimum 5
+    real = bounds.bound_report
+    monkeypatch.setattr(
+        bounds, "bound_report",
+        lambda name, n: dataclasses.replace(real(name, n), lower=6))
+    with pytest.raises(RuntimeError, match="hampath at n=4 claims a family of 6"):
+        S.max_good_family(4, P.HAMPATH)
+    # a search that runs out of budget has proven nothing
+    assert S.max_good_family(4, P.HAMPATH, budget_nodes=2).status == "timeout"
 
 
 @pytest.mark.slow
 def test_linear_3conn_n7_matches_hamming_rank():
-    # ~6.5 minutes single-core: scans the 2^21 masks for 3-connected
+    # ~30 seconds single-core: scans the 2^21 masks for 3-connected
     # candidates and stops at the proven rank cap
     result = S.max_linear_family(7, P.THREE_CONNECTED)
     assert result.status == "exact"
@@ -174,10 +272,17 @@ import random
 from hypothesis import given, settings, strategies as st
 
 
-def reference_max_clique(adj, budget):
+class _CapReached(Exception):
+    pass
+
+
+def reference_max_clique(adj, budget, floor=0, cap=None):
     """Branch and bound with a first-fit greedy coloring in index order, the
-    coloring sorted by color, branching from the highest color down."""
+    coloring sorted by color, branching from the highest color down; only
+    cliques larger than floor are sought, and the search stops once the
+    clique reaches cap."""
     best = []
+    size = floor
 
     def color_order(p):
         classes = []
@@ -198,17 +303,20 @@ def reference_max_clique(adj, budget):
         return order
 
     def expand(r, p):
-        nonlocal best
+        nonlocal best, size
         budget.spend()
         for v, bound in reversed(color_order(p)):
-            if len(r) + bound <= len(best):
+            if len(r) + bound <= size:
                 return
             r.append(v)
             nxt = p & adj[v]
             if nxt:
                 expand(r, nxt)
-            elif len(r) > len(best):
+            elif len(r) > size:
                 best = r.copy()
+                size = len(r)
+                if cap is not None and size >= cap:
+                    raise _CapReached
             r.pop()
             p ^= 1 << v
 
@@ -218,6 +326,8 @@ def reference_max_clique(adj, budget):
             expand([], (1 << len(adj)) - 1)
     except S._BudgetExhausted:
         exhausted = True
+    except _CapReached:
+        pass
     return best, exhausted
 
 
@@ -236,20 +346,40 @@ def random_graphs(draw):
     return adj
 
 
-def run_clique(search, adj, limit):
+def run_clique(search, adj, limit, *seed):
     budget = S._Budget(limit, None)
-    clique, exhausted = search(adj, budget)
+    clique, exhausted = search(adj, budget, *seed)
     return clique, exhausted, budget.nodes
 
 
 @settings(max_examples=200, deadline=None)
-@given(random_graphs(), st.one_of(st.none(), st.integers(1, 60)))
-def test_max_clique_matches_first_fit_reference(adj, limit):
-    new = run_clique(S._max_clique, adj, limit)
-    assert new == run_clique(reference_max_clique, adj, limit)
-    clique = new[0]
-    assert all(adj[a] >> b & 1 for i, a in enumerate(clique)
-               for b in clique[i + 1:])
+@given(random_graphs(), st.one_of(st.none(), st.integers(1, 60)),
+       st.integers(0, 12), st.one_of(st.none(), st.integers(0, 14)))
+def test_max_clique_matches_first_fit_reference(adj, limit, floor, cap):
+    # unseeded, and with any floor and cap, also ones no clique number fits
+    for seed in ((), (floor, cap)):
+        new = run_clique(S._max_clique, adj, limit, *seed)
+        assert new == run_clique(reference_max_clique, adj, limit, *seed)
+        clique = new[0]
+        assert all(adj[a] >> b & 1 for i, a in enumerate(clique)
+                   for b in clique[i + 1:])
+    assert not clique or len(clique) > floor
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs(), st.data())
+def test_seeded_max_clique_returns_the_unseeded_clique(adj, data):
+    # a floor below the clique number and a cap at or above it change only
+    # how much of the tree is searched
+    plain, exhausted, nodes = run_clique(S._max_clique, adj, None)
+    omega = len(plain)
+    floor = data.draw(st.integers(0, max(omega - 1, 0)), label="floor")
+    cap = data.draw(st.one_of(st.none(), st.integers(omega, omega + 3)),
+                    label="cap")
+    seeded, seeded_exhausted, seeded_nodes = \
+        run_clique(S._max_clique, adj, None, floor, cap)
+    assert not exhausted and (seeded, seeded_exhausted) == (plain, False)
+    assert seeded_nodes <= nodes
 
 
 @pytest.mark.parametrize("search", (S.max_good_family, S.max_dual_family))
