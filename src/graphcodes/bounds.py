@@ -2,9 +2,10 @@
 the theorem rows that pair each named predicate's construction with its
 proven upper bound.
 
-Sizes are exact Python integers (arbitrary precision), so bounds like
-2^C(n,2) need no special handling; fractional exponents (the odd-n
-edge-cover bound) are carried as exact Fractions.
+Sizes are exact Python integers (arbitrary precision); a theorem row whose
+bound would exceed 2^BOUND_LOG2_CAP raises CapabilityError instead of
+allocating it.  Fractional exponents (the odd-n edge-cover bound) are
+carried as exact Fractions.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .errors import (CapabilityError, DomainError, GraphCodesError,
                      UnsupportedParameterError)
 
 CHROMATIC_CAP = 10
+# largest exponent a theorem row may shift out: 2^28 bits is 32 MiB per bound
+BOUND_LOG2_CAP = 1 << 28
 
 
 def product_upper_bound(n: int, dual_lower_log2: int) -> int:
@@ -255,6 +258,14 @@ class BoundReport:
 # upper bound
 
 
+def _pow2(exp: int) -> int:
+    if exp > BOUND_LOG2_CAP:
+        raise CapabilityError(
+            f"a bound of 2^{exp} exceeds the size cap 2^{BOUND_LOG2_CAP}"
+        )
+    return 1 << exp
+
+
 # the predicates that have a theorem row, in the order of the table
 PREDICATES = ("connected", "2conn", "3conn", "hampath", "hamcycle", "star",
               "k3", "oddcycle")
@@ -269,31 +280,31 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
     if n < 2:
         raise DomainError("need n >= 2")
     if pred_name == "connected":
-        upper = 1 << product_upper_bound(n, edge_slots(n - 1))
+        upper = _pow2(product_upper_bound(n, edge_slots(n - 1)))
         return BoundReport(
-            n, "connected", 1 << (n - 1), "split-clique", upper,
+            n, "connected", _pow2(n - 1), "split-clique", upper,
             Fraction(n - 1), "product bound via dual-isolated",
         )
     if pred_name == "2conn":
         upper_exp = product_upper_bound(n, edge_slots(n - 1) + 1)
-        upper = 1 << upper_exp
+        upper = _pow2(upper_exp)
         if n % 2 == 0:
-            lower, source = 1 << (n - 2), "even-split"
+            lower, source = _pow2(n - 2), "even-split"
         elif n == 3:
             lower, source = 2, "odd-2conn"
         else:
-            lower = (1 << (n - 2)) - comb(n - 2, (n - 3) // 2)
+            lower = _pow2(n - 2) - comb(n - 2, (n - 3) // 2)
             source = "odd-2conn"
         return BoundReport(
             n, "2conn", lower, source, upper, Fraction(upper_exp),
             "product bound via dual-pendant",
         )
     if pred_name == "3conn":
-        exp = ((1 << (n - 1)) // n).bit_length() - 1
-        upper = 1 << exp
+        exp = (_pow2(n - 1) // n).bit_length() - 1
+        upper = _pow2(exp)
         if n >= 3 and (n + 1) & n == 0:  # n = 2^k - 1
             k = n.bit_length()
-            lower, source = 1 << (n - k - 1), "hamming-3conn"
+            lower, source = _pow2(n - k - 1), "hamming-3conn"
         else:
             lower, source = None, None
         return BoundReport(
@@ -302,16 +313,16 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
         )
     if pred_name == "hampath":
         built = n % 2 == 1 and _is_prime(n)
-        lower, source = (1 << (n - 1), "hampath") if built else (None, None)
+        lower, source = (_pow2(n - 1), "hampath") if built else (None, None)
         return BoundReport(
-            n, "hampath", lower, source, 1 << (n - 1), Fraction(n - 1),
+            n, "hampath", lower, source, _pow2(n - 1), Fraction(n - 1),
             "product bound via dual-isolated",
         )
     if pred_name == "hamcycle":
         built = n % 2 == 0 and _is_prime(n - 1)
-        lower, source = (1 << (n - 2), "hamcycle") if built else (None, None)
+        lower, source = (_pow2(n - 2), "hamcycle") if built else (None, None)
         return BoundReport(
-            n, "hamcycle", lower, source, 1 << (n - 2), Fraction(n - 2),
+            n, "hamcycle", lower, source, _pow2(n - 2), Fraction(n - 2),
             "product bound via dual-pendant",
         )
     if pred_name == "star":
@@ -327,7 +338,7 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
         elif pred_name == "oddcycle" and n == 7:
             lower, source = 512, "codd-7"
         return BoundReport(
-            n, pred_name, lower, source, 1 << exp, Fraction(exp),
+            n, pred_name, lower, source, _pow2(exp), Fraction(exp),
             "subgraph bound via the triangle-free edge maximum",
         )
     raise GraphCodesError(f"no bound row for predicate {pred_name!r}")

@@ -52,7 +52,7 @@ def _cmd_build(args) -> int:
     params = []
     prov_params = {}
     for name in param_names:
-        value = getattr(args, name if name != "host" else "host")
+        value = getattr(args, name)
         if value is None:
             raise GraphCodesError(f"family {args.family!r} needs --{name}")
         if name == "host":

@@ -22,10 +22,8 @@ from .core import (
 )
 from .errors import CapabilityError, DomainError, UnsupportedParameterError
 from .factorization import starter_factorization, verify_p1f
-from .family import GraphFamily, ImplicitFamily
+from .family import ENUM_BUDGET, GraphFamily, ImplicitFamily
 from .linalg import LinearFamily, gf2_reduced_basis, gray_span
-
-ENUM_BUDGET = 1 << 24
 
 
 def _is_prime(p: int) -> bool:
@@ -391,41 +389,7 @@ def codd_family_7() -> LinearFamily:
 # agreement and dual families
 
 
-def _deposit_family(
-    n: int,
-    free_slots: list[int],
-    base_bits: int,
-    provenance: dict,
-    claimed_size: int | None = None,
-    budget: int = ENUM_BUDGET,
-) -> GraphFamily:
-    """All graphs base | subset(free_slots), enumerated deterministically."""
-    if len(free_slots) >= budget.bit_length():
-        raise CapabilityError(
-            f"2^{len(free_slots)} graphs exceed the enumeration budget {budget}; "
-            "use the implicit representation"
-        )
-    graphs = []
-    for x in range(1 << len(free_slots)):
-        bits = base_bits
-        xx = x
-        while xx:
-            lowbit = xx & -xx
-            bits |= 1 << free_slots[lowbit.bit_length() - 1]
-            xx ^= lowbit
-        graphs.append(LabeledGraph(n, bits))
-    return GraphFamily(
-        n, tuple(graphs), provenance=provenance,
-        claimed_size=claimed_size if claimed_size is not None
-        else 1 << len(free_slots),
-    )
-
-
-def _clique_slots(n: int, r: int) -> list[int]:
-    return [edge_index(i, j, n) for j in range(2, r + 1) for i in range(1, j)]
-
-
-def clique_agreement_family(n: int, r: int, budget: int = ENUM_BUDGET) -> GraphFamily:
+def clique_agreement_implicit(n: int, r: int) -> ImplicitFamily:
     """All graphs with no edge inside {1..r}; size 2^(C(n,2)-C(r,2)).
 
     Any two members differ in a graph where {1..r} is an independent set,
@@ -433,40 +397,20 @@ def clique_agreement_family(n: int, r: int, budget: int = ENUM_BUDGET) -> GraphF
     """
     if not 2 <= r <= n:
         raise DomainError("need 2 <= r <= n")
-    inside = set(_clique_slots(n, r))
-    free = [s for s in range(edge_slots(n)) if s not in inside]
-    return _deposit_family(
-        n, free, 0,
-        provenance={"construction": "clique-agreement", "n": n, "r": r},
-        budget=budget,
-    )
-
-
-def clique_agreement_implicit(n: int, r: int) -> ImplicitFamily:
-    if not 2 <= r <= n:
-        raise DomainError("need 2 <= r <= n")
-    inside = 0
-    for s in _clique_slots(n, r):
-        inside |= 1 << s
-    full = (1 << edge_slots(n)) - 1
+    # in colex order the edges inside {1..r} are the first C(r,2) slots
+    free = (1 << edge_slots(n)) - (1 << edge_slots(r))
     return ImplicitFamily(
-        n, 0, full ^ inside,
+        n, 0, free,
         provenance={"construction": "clique-agreement", "n": n, "r": r},
     )
 
 
-def dual_isolated_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
-    """All graphs with vertex n isolated; no pairwise difference is connected."""
-    if n < 2:
-        raise DomainError("need n >= 2")
-    free = list(range(edge_slots(n - 1)))
-    return _deposit_family(
-        n, free, 0, provenance={"construction": "dual-isolated", "n": n},
-        budget=budget,
-    )
+def clique_agreement_family(n: int, r: int, budget: int = ENUM_BUDGET) -> GraphFamily:
+    return clique_agreement_implicit(n, r).enumerate(budget)
 
 
 def dual_isolated_implicit(n: int) -> ImplicitFamily:
+    """All graphs with vertex n isolated; no pairwise difference is connected."""
     if n < 2:
         raise DomainError("need n >= 2")
     return ImplicitFamily(
@@ -475,16 +419,28 @@ def dual_isolated_implicit(n: int) -> ImplicitFamily:
     )
 
 
-def dual_pendant_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
+def dual_isolated_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
+    return dual_isolated_implicit(n).enumerate(budget)
+
+
+def dual_pendant_implicit(n: int) -> ImplicitFamily:
     """Vertex n isolated or joined only to n-1; differences are never
     2-connected (vertex n keeps degree <= 2 with at most one fresh edge)."""
     if n < 3:
         raise DomainError("need n >= 3")
-    free = list(range(edge_slots(n - 1))) + [edge_index(n - 1, n, n)]
-    return _deposit_family(
-        n, free, 0, provenance={"construction": "dual-pendant", "n": n},
-        budget=budget,
+    free = ((1 << edge_slots(n - 1)) - 1) | 1 << edge_index(n - 1, n, n)
+    return ImplicitFamily(
+        n, 0, free, provenance={"construction": "dual-pendant", "n": n},
     )
+
+
+def dual_pendant_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
+    return dual_pendant_implicit(n).enumerate(budget)
+
+
+def dual_lowdeg_size(n: int) -> int:
+    """The size of dual_lowdeg_family(n), without enumerating it."""
+    return n << edge_slots(n - 1)
 
 
 def dual_lowdeg_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
@@ -493,7 +449,7 @@ def dual_lowdeg_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
     if n < 2:
         raise DomainError("need n >= 2")
     inner = edge_slots(n - 1)
-    size = n << inner
+    size = dual_lowdeg_size(n)
     if size > budget:
         raise CapabilityError(f"{size} graphs exceed the enumeration budget")
     graphs = []
@@ -518,50 +474,26 @@ def star_cover_edges(n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _star_cover_mask(n: int) -> int:
-    bits = 0
-    for i, j in star_cover_edges(n):
-        bits |= 1 << edge_index(i, j, n)
-    return bits
-
-
-def dual_star_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
+def dual_star_implicit(n: int) -> ImplicitFamily:
     """All graphs containing a fixed minimum edge cover T; every vertex then
     misses its T-edge in any pairwise difference, so no difference has a
     spanning star.  Size 2^(C(n,2) - ceil(n/2))."""
-    base = _star_cover_mask(n)
-    free = [s for s in range(edge_slots(n)) if not base >> s & 1]
-    return _deposit_family(
-        n, free, base, provenance={"construction": "dual-star", "n": n},
-        budget=budget,
-    )
-
-
-def dual_star_implicit(n: int) -> ImplicitFamily:
-    base = _star_cover_mask(n)
+    base = 0
+    for i, j in star_cover_edges(n):
+        base |= 1 << edge_index(i, j, n)
     full = (1 << edge_slots(n)) - 1
     return ImplicitFamily(
         n, base, full ^ base, provenance={"construction": "dual-star", "n": n},
     )
 
 
-def dual_subgraph_family(
-    n: int, host: LabeledGraph, budget: int = ENUM_BUDGET
-) -> GraphFamily:
-    """All 2^|E(host)| subgraphs of a host graph; pairwise differences stay
-    inside the host, so anything the host avoids they avoid too."""
-    if host.n != n:
-        raise DomainError(f"host is on {host.n} vertices, expected {n}")
-    free = [s for s in range(edge_slots(n)) if host.bits >> s & 1]
-    return _deposit_family(
-        n, free, 0,
-        provenance={"construction": "dual-subgraph", "n": n,
-                     "host": host.to_hex()},
-        budget=budget,
-    )
+def dual_star_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
+    return dual_star_implicit(n).enumerate(budget)
 
 
 def dual_subgraph_implicit(n: int, host: LabeledGraph) -> ImplicitFamily:
+    """All 2^|E(host)| subgraphs of a host graph; pairwise differences stay
+    inside the host, so anything the host avoids they avoid too."""
     if host.n != n:
         raise DomainError(f"host is on {host.n} vertices, expected {n}")
     return ImplicitFamily(
@@ -571,23 +503,11 @@ def dual_subgraph_implicit(n: int, host: LabeledGraph) -> ImplicitFamily:
     )
 
 
-# closed-form sizes, usable without enumeration
+def dual_subgraph_family(
+    n: int, host: LabeledGraph, budget: int = ENUM_BUDGET
+) -> GraphFamily:
+    return dual_subgraph_implicit(n, host).enumerate(budget)
 
-
-def dual_isolated_size(n: int) -> int:
-    return 1 << edge_slots(n - 1)
-
-
-def dual_pendant_size(n: int) -> int:
-    return 1 << (edge_slots(n - 1) + 1)
-
-
-def dual_lowdeg_size(n: int) -> int:
-    return n << edge_slots(n - 1)
-
-
-def dual_star_size(n: int) -> int:
-    return 1 << (edge_slots(n) - (n + 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Edge {i,j} with 1 <= i < j <= n lives at slot (j-1)(j-2)/2 + (i-1), so the
 slots enumerate pairs in colex order of (j, i).  The symmetric difference of
-two graphs is the XOR of their bit vectors.  Graphs are immutable and safe to
-share between workers.
+two graphs is the XOR of their bit vectors.  Graphs are immutable and
+hashable.
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import LabeledGraph, edge_slots
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 
 FORMAT_VERSION = 1
 EDGE_ORDER = "colex-1based"
+ENUM_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,9 +63,9 @@ class GraphFamily:
 
 @dataclass(frozen=True, slots=True)
 class ImplicitFamily:
-    """A family too large to enumerate: all graphs of the form
-    ``base | (x & free)``, i.e. fixed bits outside ``free_mask`` and free
-    choice inside it.  Carries a closed-form size plus membership/sampling."""
+    """All graphs of the form ``base | (x & free)``, i.e. fixed bits outside
+    ``free_mask`` and free choice inside it.  Carries a closed-form size plus
+    membership and sampling, so it serves where enumeration is too large."""
 
     n: int
     base_bits: int
@@ -91,6 +92,25 @@ class ImplicitFamily:
     def sample(self, rng: random.Random) -> LabeledGraph:
         bits = self.base_bits | (rng.getrandbits(edge_slots(self.n)) & self.free_mask)
         return LabeledGraph(self.n, bits)
+
+    def enumerate(self, budget: int = ENUM_BUDGET) -> GraphFamily:
+        """Every member as an explicit family, in increasing mask order (the
+        submasks of ``free_mask`` counted upward)."""
+        free = self.free_mask
+        if free.bit_count() >= budget.bit_length():
+            raise CapabilityError(
+                f"2^{free.bit_count()} graphs exceed the enumeration budget "
+                f"{budget}; use the implicit representation"
+            )
+        graphs = [LabeledGraph(self.n, self.base_bits)]
+        sub = 0
+        while sub != free:
+            sub = (sub - free) & free
+            graphs.append(LabeledGraph(self.n, self.base_bits | sub))
+        return GraphFamily(
+            self.n, tuple(graphs), provenance=dict(self.provenance),
+            claimed_size=self.size,
+        )
 
 
 @dataclass(frozen=True, slots=True)

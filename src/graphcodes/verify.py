@@ -3,8 +3,9 @@
 A family's verdict depends only on its set of distinct pairwise differences,
 so the pairwise engine tests each difference once.  When the members form an
 affine coset of a GF(2) subspace, the differences are exactly the nonzero
-span elements, which are enumerated directly.  Otherwise (or once a coset
-element fails) index pairs (i, j), i < j, are walked in lexicographic order
+span elements, which are enumerated directly; a linear family is such a span
+and passes its sorted nonzero members.  Otherwise (or once a difference
+fails) index pairs (i, j), i < j, are walked in lexicographic order
 with a memo of verdicts per difference, so the first failing pair is a
 deterministic witness and the scan stops there.
 """
@@ -30,8 +31,10 @@ class VerifyReport:
 
     ``witness`` is the lexicographically first failing index pair together
     with the offending symmetric difference; on failure ``pairs_checked``
-    counts the pairs up to and including the witness.  ``method`` names the
-    engine path ("coset", "memoized", "linear" or "sampled"; a failing coset
+    counts the pairs up to and including the witness.  A linear family counts
+    span members instead of pairs, and its witness is (0, i) for the first
+    failing member i of the sorted span.  ``method`` names the engine path
+    ("coset", "memoized", "linear" or "sampled"; a failing coset or span
     still finds its witness by the memoized scan) and ``predicate_calls``
     counts the predicate evaluations."""
 
@@ -66,16 +69,18 @@ def _coset_differences(masks: list[int]) -> list[int] | None:
 
 
 def _scan_pairs(
-    n: int, masks: list[int], pred: Predicate, expect: bool
-) -> tuple[tuple[int, int] | None, str, int]:
-    """(first failing pair or None, method, predicate calls)."""
+    n: int, masks: list[int], diffs: list[int] | None, pred: Predicate,
+    expect: bool,
+) -> tuple[tuple[int, int] | None, int]:
+    """(first failing pair or None, predicate calls).
+
+    ``diffs`` is every nonzero pairwise difference of ``masks`` or None when
+    that set is not known; each one is tested once, and if all pass the
+    family passes.  Otherwise the lexicographic pair scan finds the witness."""
     test = pred.test_mask
     verdicts: dict[int, bool] = {}
     calls = 0
-    method = "memoized"
-    diffs = _coset_differences(masks)
     if diffs is not None:
-        method = "coset"
         for d in diffs:
             calls += 1
             ok = test(n, d) == expect
@@ -84,7 +89,7 @@ def _scan_pairs(
             if not ok:
                 break
         else:
-            return None, method, calls
+            return None, calls
     # lexicographic scan; a difference whose verdict is memoized costs no call
     m = len(masks)
     for i in range(m - 1):
@@ -98,8 +103,21 @@ def _scan_pairs(
                 if len(verdicts) < MEMO_CAP:
                     verdicts[d] = ok
             if not ok:
-                return (i, j), method, calls
-    return None, method, calls
+                return (i, j), calls
+    return None, calls
+
+
+def _report(
+    n: int, masks: list[int], failure: tuple[int, int] | None, mode: str,
+    method: str, calls: int, passed_count: int,
+) -> VerifyReport:
+    if failure is None:
+        return VerifyReport(True, mode, passed_count, None, method, calls)
+    i, j = failure
+    return VerifyReport(
+        False, mode, _pair_rank(i, j, len(masks)),
+        ((i, j), LabeledGraph(n, masks[i] ^ masks[j])), method, calls,
+    )
 
 
 def _run_pairwise(
@@ -109,51 +127,39 @@ def _run_pairwise(
         raise DomainError("need at least 2 graphs to verify")
     masks = fam.masks()
     m = len(masks)
+    diffs = _coset_differences(masks)
     try:
-        failure, method, calls = _scan_pairs(fam.n, masks, pred, expect)
+        failure, calls = _scan_pairs(fam.n, masks, diffs, pred, expect)
     except CapabilityError as exc:
         raise CapabilityError(f"{exc} (while verifying {m} graphs)") from exc
-    if failure is None:
-        return VerifyReport(True, mode, m * (m - 1) // 2, None, method, calls)
-    i, j = failure
-    return VerifyReport(
-        False, mode, _pair_rank(i, j, m),
-        ((i, j), LabeledGraph(fam.n, masks[i] ^ masks[j])), method, calls,
-    )
+    method = "memoized" if diffs is None else "coset"
+    return _report(fam.n, masks, failure, mode, method, calls, m * (m - 1) // 2)
 
 
-def verify_family(fam: GraphFamily, pred: Predicate, workers: int = 1) -> VerifyReport:
-    """Check that every pairwise symmetric difference satisfies the predicate.
-
-    ``workers`` is accepted for compatibility and ignored."""
+def verify_family(fam: GraphFamily, pred: Predicate) -> VerifyReport:
+    """Check that every pairwise symmetric difference satisfies the predicate."""
     return _run_pairwise(fam, pred, True, "pairwise")
 
 
-def verify_dual_family(
-    fam: GraphFamily, pred: Predicate, workers: int = 1
-) -> VerifyReport:
-    """Check that no pairwise symmetric difference satisfies the predicate.
-
-    ``workers`` is accepted for compatibility and ignored."""
+def verify_dual_family(fam: GraphFamily, pred: Predicate) -> VerifyReport:
+    """Check that no pairwise symmetric difference satisfies the predicate."""
     return _run_pairwise(fam, pred, False, "dual")
 
 
 def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:
-    """Check every nonzero span member; equivalent to pairwise verification
-    because differences of span elements range over the whole span.
+    """Check every nonzero span member, through the pairwise engine with the
+    members as the difference set: the differences of a span are exactly its
+    nonzero members, and ``pairs_checked`` counts members.
 
-    A failing member at span index i is witnessed as the pair (0, i): the
-    sorted span always places the empty graph at index 0."""
+    The sorted span puts the empty graph at index 0, so the first failing
+    pair is (0, i) for the smallest failing member i, and ``pairs_checked``
+    and ``predicate_calls`` are both i.  The one exception: when i lies
+    beyond ``MEMO_CAP``, ``predicate_calls`` is 2i - MEMO_CAP, because the
+    witness scan re-tests the members past the memo."""
     masks = fam.span_masks()
-    test = pred.test_mask
-    for idx in range(1, len(masks)):
-        if not test(fam.n, masks[idx]):
-            return VerifyReport(
-                False, "linear", idx, ((0, idx), LabeledGraph(fam.n, masks[idx])),
-                "linear", idx,
-            )
-    return VerifyReport(True, "linear", len(masks) - 1, None,
-                        "linear", len(masks) - 1)
+    failure, calls = _scan_pairs(fam.n, masks, masks[1:], pred, True)
+    return _report(fam.n, masks, failure, "linear", "linear", calls,
+                   len(masks) - 1)
 
 
 def verify_dual_sampled(

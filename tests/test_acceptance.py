@@ -56,7 +56,7 @@ def test_criterion_1_connectivity():
                 assert time.perf_counter() - start <= 10
             dual_log2 = edge_slots(n - 1)
             assert (n - 1) + dual_log2 == edge_slots(n)
-            assert C.dual_isolated_size(n) == 1 << dual_log2
+            assert C.dual_isolated_implicit(n).size == 1 << dual_log2
             if n <= 5:
                 dual = C.dual_isolated_family(n)
                 assert verify_dual_family(dual, P.CONNECTED).passed
@@ -117,7 +117,7 @@ def test_criterion_7_dual_star():
         for n in (4, 6):
             fam = C.dual_star_family(n)
             assert len(fam) == 1 << (edge_slots(n) - n // 2)
-            assert verify_dual_family(fam, P.STAR, workers=2).passed
+            assert verify_dual_family(fam, P.STAR).passed
         imp = C.dual_star_implicit(8)
         assert imp.log2_size == edge_slots(8) - 4
         assert verify_dual_sampled(imp, P.STAR, pairs=2000, seed=0).passed
@@ -246,4 +246,4 @@ def test_criterion_12_cross_difference_distinctness():
             assert cross_difference_distinct(a, b)
             assert len(a) * len(b) == 1 << edge_slots(n)
         for n in range(3, 11):
-            assert (1 << (n - 1)) * C.dual_isolated_size(n) == 1 << edge_slots(n)
+            assert (1 << (n - 1)) * C.dual_isolated_implicit(n).size == 1 << edge_slots(n)

@@ -118,10 +118,10 @@ def test_rate():
 def test_product_lemma_numeric_for_built_pairs():
     for n in range(3, 9):
         a = 1 << (n - 1)
-        b = C.dual_isolated_size(n)
+        b = C.dual_isolated_implicit(n).size
         assert a * b <= 1 << edge_slots(n)
         a2 = len(C.star_family(n))
-        b2 = C.dual_star_size(n)
+        b2 = C.dual_star_implicit(n).size
         assert a2 * b2 <= 1 << edge_slots(n)
 
 

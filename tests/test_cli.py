@@ -279,3 +279,51 @@ def test_malformed_graphs_not_a_list(tmp_path, capsys):
     bad.write_text(json.dumps(_family_doc(graphs="0007")))
     assert run("verify", "--pred", "connected", str(bad)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ("connected", "2conn", "3conn", "hampath",
+                                  "hamcycle", "star", "k3", "oddcycle"))
+def test_bound_answers_every_predicate_at_n_20001(capsys, name):
+    # k3 and oddcycle have an upper exponent of about 10^8 here
+    assert run("bound", "--pred", name, "--n", "20001") == 0
+    assert run("bound", "--pred", name, "--n", "20001", "--json") == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", ((), ("--json",)))
+def test_bound_refuses_a_bound_past_the_size_cap(capsys, extra):
+    # k3's upper exponent at n = 1000001 is about 2.5 * 10^11 bits
+    assert run("bound", "--pred", "k3", "--n", "1000001", *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a bound of 2^")
+    assert run("bound", "--pred", "connected", "--n", "1000001", *extra) == 0
+    assert "2^1000000" in capsys.readouterr().out
+
+
+# sha256 of `build --out` for every subset family, pinned from the files the
+# builders wrote before they became enumerations of their implicit families
+SUBSET_FAMILY_FILES = {
+    "clique-agreement": (("--n", "5", "--r", "3"),
+        "83a5b17d69c3decbbc48362474e87fb967ceaa51bf9771b9b9a97ccf8f7d1f7d"),
+    "dual-isolated": (("--n", "5"),
+        "ce262234f1a78b68fec295aff0d6d7ed1542f7d9b600c473285bcd61dcf3ccc0"),
+    "dual-pendant": (("--n", "5"),
+        "a391d9bad0b8a645314433d82c5e3f8ec5bfe8b99cff125b5b281e71d2eb31a9"),
+    "dual-star": (("--n", "5"),
+        "1a985a6448147563b99a5647bc242b01a1f8727621ad0250a1ce8da4ffc4ea23"),
+    "dual-subgraph": (("--n", "5", "--host", "{host}"),
+        "38e432449577dee606733e831574cc6da829550bf48292398df0c916037d1467"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SUBSET_FAMILY_FILES))
+def test_subset_family_files_are_pinned(tmp_path, capsys, family):
+    host = tmp_path / "host.json"
+    save_family(host, 5, [complete_bipartite_graph(5, {1, 2})])
+    params, sha = SUBSET_FAMILY_FILES[family]
+    out = tmp_path / "fam.json"
+    argv = [p.format(host=host) for p in params]
+    assert run("build", "--family", family, *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+    capsys.readouterr()

@@ -188,9 +188,10 @@ def test_dual_family_sizes():
     assert len(C.dual_pendant_family(4)) == 16
     assert len(C.dual_lowdeg_family(4)) == 32
     assert len(C.dual_star_family(4)) == 16
-    assert C.dual_isolated_size(5) == 2 ** 6
+    assert C.dual_isolated_implicit(5).size == 2 ** 6
+    assert C.dual_pendant_implicit(5).size == 2 ** 7
     assert C.dual_lowdeg_size(5) == 5 * 2 ** 6
-    assert C.dual_star_size(5) == 2 ** 7
+    assert C.dual_star_implicit(5).size == 2 ** 7
 
 
 def test_dual_members_have_required_shape():
@@ -238,12 +239,49 @@ def test_implicit_families():
     iso = C.dual_isolated_implicit(5)
     assert iso.log2_size == edge_slots(4)
     assert iso.contains(empty_graph(5))
+    pendant = C.dual_pendant_implicit(5)
+    assert pendant.contains(graph_from_edges(5, [(1, 2), (4, 5)]))
+    assert not pendant.contains(graph_from_edges(5, [(3, 5)]))
+    with pytest.raises(DomainError):
+        C.dual_pendant_implicit(2)
+
+
+def subset_families(n):
+    """Every subset family on n vertices, with the hosts of dual-subgraph
+    taken as the empty graph, a complete bipartite graph and K_n."""
+    if n >= 2:
+        yield C.dual_isolated_implicit(n)
+        yield C.dual_star_implicit(n)
+        for r in range(2, n + 1):
+            yield C.clique_agreement_implicit(n, r)
+    if n >= 3:
+        yield C.dual_pendant_implicit(n)
+    for host in (empty_graph(n), complete_bipartite_graph(n, {1}),
+                 complete_graph(n)):
+        yield C.dual_subgraph_implicit(n, host)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumerate_equals_brute_force_filter(n):
+    for imp in subset_families(n):
+        base, free = imp.base_bits, imp.free_mask
+        brute = sorted(m for m in range(1 << comb(n, 2)) if m & ~free == base)
+        fam = imp.enumerate()
+        assert fam.masks() == brute, imp.provenance
+        assert fam.claimed_size == imp.size == len(brute)
+        assert fam.provenance == imp.provenance
+
+
+def test_enumeration_budget_names_the_implicit_representation():
+    with pytest.raises(CapabilityError, match=r"^2\^7 graphs exceed the "
+                       r"enumeration budget 64; use the implicit representation$"):
+        C.dual_star_family(5, budget=1 << 6)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_product_saturation(n):
     primal = 1 << (n - 1)
-    dual = C.dual_isolated_size(n)
+    dual = C.dual_isolated_implicit(n).size
     assert primal * dual == 1 << edge_slots(n)
 
 

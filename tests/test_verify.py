@@ -65,11 +65,18 @@ def test_verify_linear_failure_witness():
 
 
 def test_linear_equivalent_to_pairwise_on_span():
+    preds = (P.K3, P.THREE_CONNECTED, P.HAMCYCLE, P.STAR)
+    failures = 0
     for fam in (C.k3_family_5(), C.hamming_bipartite_family(3)):
-        pred = P.K3 if fam.n == 5 else P.THREE_CONNECTED
-        linear = verify_linear_family(fam, pred)
-        pairwise = verify_family(enumerate_span(fam), pred)
-        assert linear.passed == pairwise.passed
+        for pred in preds:
+            linear = verify_linear_family(fam, pred)
+            pairwise = verify_family(enumerate_span(fam), pred)
+            assert linear.passed == pairwise.passed
+            if not linear.passed:
+                failures += 1
+                assert linear.witness == pairwise.witness
+                assert linear.pairs_checked == pairwise.pairs_checked
+    assert failures >= 4
 
 
 def test_verify_dual_families():
@@ -95,23 +102,6 @@ def test_verdicts_invariant_under_translation_and_complement():
     assert verify_family(fam, P.K3).passed
     assert verify_family(translated, P.K3).passed
     assert verify_family(complemented, P.K3).passed
-
-
-def test_witness_determinism_across_workers(monkeypatch):
-    rng = random.Random(5)
-    graphs = []
-    seen = set()
-    while len(graphs) < 40:
-        bits = rng.getrandbits(15)
-        if bits not in seen:
-            seen.add(bits)
-            graphs.append(LabeledGraph(6, bits))
-    fam = GraphFamily(6, tuple(graphs))
-    sequential = verify_family(fam, P.CONNECTED, workers=1)
-    parallel = verify_family(fam, P.CONNECTED, workers=2)
-    assert sequential.passed == parallel.passed
-    assert sequential.witness == parallel.witness
-    assert sequential.pairs_checked == parallel.pairs_checked
 
 
 def test_verify_needs_two_graphs():
@@ -161,7 +151,7 @@ def test_sampled_check_deterministic():
 # ---------------------------------------------------------------------------
 # the difference-set engine against a naive pairwise loop
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphcodes.core import edge_slots
 from graphcodes.linalg import gf2_reduced_basis, gray_span
@@ -311,3 +301,87 @@ def test_linear_and_sampled_report_their_calls():
     assert rep.method == "linear" and rep.predicate_calls == 15
     rep = verify_dual_sampled(C.dual_star_implicit(6), P.STAR, pairs=30)
     assert rep.method == "sampled" and rep.predicate_calls == 30
+
+
+# ---------------------------------------------------------------------------
+# linear verification against the member loop it replaced
+
+
+def member_loop_linear(fam, pred):
+    """The dedicated loop over the sorted span that verify_linear_family ran
+    before it went through the difference-set engine, kept as a reference."""
+    masks = fam.span_masks()
+    test = pred.test_mask
+    for idx in range(1, len(masks)):
+        if not test(fam.n, masks[idx]):
+            return V.VerifyReport(
+                False, "linear", idx, ((0, idx), LabeledGraph(fam.n, masks[idx])),
+                "linear", idx,
+            )
+    return V.VerifyReport(True, "linear", len(masks) - 1, None,
+                          "linear", len(masks) - 1)
+
+
+NAMED_PREDICATES = tuple(P.parse_predicate(name) for name in (
+    "connected", "2conn", "3conn", "hampath", "hamcycle", "star", "k3",
+    "oddcycle"))
+
+
+def shipped_linear_families():
+    yield from (C.hamming_bipartite_family(k) for k in (2, 3))
+    yield from (C.ham_path_family(p) for p in (3, 5, 7))
+    yield from (C.ham_cycle_family(m) for m in (4, 6, 8))
+    yield from (C.k3_family_5(), C.k3_family_6(), C.codd_family_7())
+
+
+def test_linear_reports_match_member_loop_on_shipped_constructions():
+    compared = failed = 0
+    for fam in shipped_linear_families():
+        for pred in NAMED_PREDICATES:
+            rep = verify_linear_family(fam, pred)
+            assert rep == member_loop_linear(fam, pred), (fam.n, pred.name)
+            compared += 1
+            failed += not rep.passed
+    assert compared == 88 and 0 < failed < compared
+
+
+@st.composite
+def linear_families(draw):
+    """Spans on 3..6 vertices: rank 0 (no generators or only zero ones),
+    redundant generator lists and arbitrary, mostly failing, spans."""
+    n = draw(vertex_counts)
+    top = (1 << edge_slots(n)) - 1
+    gens = draw(st.lists(st.integers(0, top), max_size=5))
+    if len(gens) >= 2 and draw(st.booleans()):
+        gens.append(gens[0] ^ gens[1])
+    return LinearFamily(n, tuple(LabeledGraph(n, m) for m in gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_families())
+@example(LinearFamily(4, ()))
+@example(LinearFamily(4, (empty_graph(4), empty_graph(4))))
+@example(C.k3_family_5())  # five generators of rank 4
+def test_linear_reports_match_member_loop_on_drawn_spans(fam):
+    for pred in SHIPPED_PREDICATES:
+        assert verify_linear_family(fam, pred) == member_loop_linear(fam, pred)
+
+
+def test_linear_calls_past_the_memo_cap():
+    # a rank-4 span on 5 vertices whose first disconnected member in sorted
+    # order comes late; past the memo the witness scan re-tests members
+    rng = random.Random(3)
+    while True:
+        fam = LinearFamily(5, tuple(LabeledGraph(5, rng.getrandbits(10))
+                                    for _ in range(4)))
+        ref = member_loop_linear(fam, P.CONNECTED)
+        if fam.rank == 4 and not ref.passed and ref.pairs_checked >= 6:
+            break
+    i = ref.pairs_checked
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(V, "MEMO_CAP", 3)
+        rep = verify_linear_family(fam, P.CONNECTED)
+    assert (rep.passed, rep.witness, rep.pairs_checked, rep.method) == \
+        (ref.passed, ref.witness, ref.pairs_checked, ref.method)
+    assert rep.predicate_calls == 2 * i - 3
+    assert verify_linear_family(fam, P.CONNECTED) == ref
