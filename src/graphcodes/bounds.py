@@ -3,9 +3,10 @@ the theorem rows that pair each named predicate's construction with its
 proven upper bound.
 
 Sizes are exact Python integers (arbitrary precision); a theorem row whose
-bound would exceed 2^BOUND_LOG2_CAP raises CapabilityError instead of
-allocating it.  Fractional exponents (the odd-n edge-cover bound) are
-carried as exact Fractions.
+bound would exceed 2^BOUND_LOG2_CAP, or an odd-n 2conn row past
+ODD_2CONN_N_CAP, raises CapabilityError instead of computing it.
+Fractional exponents (the odd-n edge-cover bound) are carried as exact
+Fractions.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .errors import (CapabilityError, DomainError, GraphCodesError,
 CHROMATIC_CAP = 10
 # largest exponent a theorem row may shift out: 2^28 bits is 32 MiB per bound
 BOUND_LOG2_CAP = 1 << 28
+# odd n above this get no 2conn row: its exact binomial C(n-2, (n-3)/2) takes
+# about 0.3 s at n = 2^17 and about 4 times as long per doubling of n
+ODD_2CONN_N_CAP = 1 << 17
 
 
 def product_upper_bound(n: int, dual_lower_log2: int) -> int:
@@ -292,6 +296,11 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
             lower, source = _pow2(n - 2), "even-split"
         elif n == 3:
             lower, source = 2, "odd-2conn"
+        elif n > ODD_2CONN_N_CAP:
+            raise CapabilityError(
+                f"the odd-2conn lower bound is computed only for n <= "
+                f"{ODD_2CONN_N_CAP}, got n={n}"
+            )
         else:
             lower = _pow2(n - 2) - comb(n - 2, (n - 3) // 2)
             source = "odd-2conn"

@@ -332,10 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except GraphCodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GraphCodesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,49 +63,48 @@ def _connected_mask(n: int, bits: int) -> bool:
 
 
 def _biconnected_from_adj(n: int, adj: list[int], keep: int | None = None) -> bool:
-    """No articulation vertex and connected, via one DFS with lowlinks, on the
-    subgraph induced by the vertex mask ``keep`` (default: every vertex)."""
+    """No articulation vertex and connected, on the subgraph induced by the
+    vertex mask ``keep`` (default: every vertex), via one bitset DFS.
+
+    Each stack entry carries its subtree and the OR of the subtree's rows.
+    A DFS tree has no cross edges, so a finished child's subtree reaches
+    nothing outside itself and its parent p but ancestors of p: p is a cut
+    vertex iff it reaches none.  The root is one iff it gets a second child.
+    """
+    full = (1 << n) - 1
     if keep is None:
-        keep = (1 << n) - 1
+        keep = full
     root = (keep & -keep).bit_length() - 1
-    disc = [0] * n
-    low = [0] * n
-    timer = 1
-    disc[root] = low[root] = 1
+    visited = full & ~keep | 1 << root
+    stack = [root]
+    subs = [1 << root]
+    nbs = [adj[root]]
     root_children = 0
-    stack = [(root, -1)]
-    pending = [adj[root] & keep]
     while stack:
-        v, parent = stack[-1]
-        m = pending[-1]
+        v = stack[-1]
+        m = adj[v] & ~visited
         if m:
-            lowbit = m & -m
-            u = lowbit.bit_length() - 1
-            pending[-1] = m ^ lowbit
-            if u == parent:
-                continue
-            if disc[u]:
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-            else:
-                timer += 1
-                disc[u] = low[u] = timer
-                if v == root:
-                    root_children += 1
-                stack.append((u, v))
-                pending.append(adj[u] & keep)
+            if v == root:
+                root_children += 1
+                if root_children > 1:
+                    return False
+            low = m & -m
+            u = low.bit_length() - 1
+            visited |= low
+            stack.append(u)
+            subs.append(low)
+            nbs.append(adj[u])
         else:
             stack.pop()
-            pending.pop()
+            sub = subs.pop()
+            nb = nbs.pop()
             if stack:
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p != root and low[v] >= disc[p]:
+                p = stack[-1]
+                if p != root and not nb & keep & ~(sub | 1 << p):
                     return False
-    if root_children > 1:
-        return False
-    return timer == keep.bit_count()
+                subs[-1] |= sub
+                nbs[-1] |= nb
+    return visited == full
 
 
 def _max_flow_at_most(n: int, adj: list[int], s: int, t: int, cap: int) -> int:

@@ -156,3 +156,12 @@ def test_bound_report_domain():
         assert B.bound_report(name, 2).n == 2
     with pytest.raises(GraphCodesError, match="no bound row"):
         B.bound_report("kconn:4", 5)
+
+
+def test_odd_2conn_row_is_refused_past_its_cap(monkeypatch):
+    monkeypatch.setattr(B, "ODD_2CONN_N_CAP", 21)
+    assert B.bound_report("2conn", 21).lower == 2 ** 19 - comb(19, 9)
+    with pytest.raises(CapabilityError, match="n <= 21, got n=23"):
+        B.bound_report("2conn", 23)
+    # even n takes no binomial
+    assert B.bound_report("2conn", 22).lower == 2 ** 20

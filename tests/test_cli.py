@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -299,6 +300,34 @@ def test_bound_refuses_a_bound_past_the_size_cap(capsys, extra):
     assert captured.err.startswith("error: a bound of 2^")
     assert run("bound", "--pred", "connected", "--n", "1000001", *extra) == 0
     assert "2^1000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", ((), ("--json",)))
+def test_bound_refuses_odd_2conn_past_the_binomial_cap(capsys, extra):
+    # the exact binomial C(999999, 499999) took about 12 s
+    start = time.perf_counter()
+    assert run("bound", "--pred", "2conn", "--n", "1000001", *extra) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the odd-2conn lower bound is "
+                                   "computed only for n <= 131072")
+    # even n takes no binomial
+    assert run("bound", "--pred", "2conn", "--n", "1000000", *extra) == 0
+    assert "2^999998" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", (
+    ("verify", "--pred", "connected", "{d}"),
+    ("build", "--family", "split-clique", "--n", "5", "--out", "{d}"),
+    ("search", "--pred", "star", "--n", "4", "--mode", "dual", "--out", "{d}"),
+    ("factorize", "--m", "6", "--out", "{d}"),
+), ids=("verify", "build", "search", "factorize"))
+def test_a_directory_path_is_a_usage_error(tmp_path, capsys, argv):
+    # IsADirectoryError exits 2 like a missing file, not 1 (verification failed)
+    assert run(*(a.format(d=tmp_path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 # sha256 of `build --out` for every subset family, pinned from the files the

@@ -31,6 +31,7 @@ from graphcodes import (
 )
 from graphcodes import predicates as P
 from graphcodes.constructions import k3_family_5, star_family, starter_factorization
+from graphcodes.core import adjacency_masks
 from graphcodes.oracles import oracle_vertex_connectivity
 
 
@@ -431,7 +432,7 @@ def test_3conn_named_graphs(g, expected):
     (graph_from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]), 2, 0),
 ])
 def test_connectivity_rejection_past_the_degree_prefilters(g, k, kappa):
-    # only the lowlink DFS can reject these: min degree and edge count pass
+    # only the bitset DFS can reject these: min degree and edge count pass
     assert min(g.degree_sequence()) >= k
     assert 2 * g.num_edges >= k * g.n
     assert vertex_connectivity(g) == kappa
@@ -447,3 +448,87 @@ def test_biconnected_keep_mask_matches_induced_subgraph(n, data):
     sub = g.induced_subgraph([v + 1 for v in range(n) if keep >> v & 1])
     assert P._biconnected_from_adj(n, g.adjacency(), keep) == \
         P._biconnected_from_adj(sub.n, sub.adjacency())
+
+
+# ---------------------------------------------------------------------------
+# the bitset DFS against the lowlink DFS it replaced
+
+
+def lowlink_biconnected(n, adj, keep=None):
+    """Tarjan's lowlink DFS, as `_biconnected_from_adj` was before the bitset
+    DFS: no articulation vertex and connected on the vertices of ``keep``."""
+    if keep is None:
+        keep = (1 << n) - 1
+    root = (keep & -keep).bit_length() - 1
+    disc = [0] * n
+    low = [0] * n
+    timer = 1
+    disc[root] = low[root] = 1
+    root_children = 0
+    stack = [(root, -1)]
+    pending = [adj[root] & keep]
+    while stack:
+        v, parent = stack[-1]
+        m = pending[-1]
+        if m:
+            lowbit = m & -m
+            u = lowbit.bit_length() - 1
+            pending[-1] = m ^ lowbit
+            if u == parent:
+                continue
+            if disc[u]:
+                if disc[u] < low[v]:
+                    low[v] = disc[u]
+            else:
+                timer += 1
+                disc[u] = low[u] = timer
+                if v == root:
+                    root_children += 1
+                stack.append((u, v))
+                pending.append(adj[u] & keep)
+        else:
+            stack.pop()
+            pending.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if p != root and low[v] >= disc[p]:
+                    return False
+    if root_children > 1:
+        return False
+    return timer == keep.bit_count()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bitset_dfs_matches_lowlink_on_all_small_graphs(n):
+    # every nonempty keep mask up to n = 5; at n = 6 every vertex, or all but one
+    full = (1 << n) - 1
+    keeps = (range(1, full + 1) if n <= 5
+             else [full] + [full ^ 1 << v for v in range(n)])
+    for bits in range(1 << edge_slots(n)):
+        adj = adjacency_masks(n, bits)
+        for keep in keeps:
+            assert P._biconnected_from_adj(n, adj, keep) == \
+                lowlink_biconnected(n, adj, keep), (n, bits, keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 20), st.sampled_from((0.1, 0.2, 0.35, 0.5, 0.7, 0.9)),
+       st.randoms(use_true_random=False))
+def test_bitset_dfs_matches_lowlink_on_random_graphs(n, density, rng):
+    adj = adjacency_masks(n, random_bits(n, density, rng))
+    for keep in (None, rng.randint(1, (1 << n) - 1)):
+        assert P._biconnected_from_adj(n, adj, keep) == \
+            lowlink_biconnected(n, adj, keep)
+
+
+@pytest.mark.parametrize("n, count", [(3, 1), (4, 10), (5, 238), (6, 11368)])
+def test_2conn_matches_max_flow_on_all_small_graphs(n, count):
+    found = 0
+    for bits in range(1 << edge_slots(n)):
+        got = P.TWO_CONNECTED.test_mask(n, bits)
+        assert got == (P._kappa_mask(n, bits, 2) >= 2), (n, bits)
+        found += got
+    # labeled 2-connected graphs on n vertices
+    assert found == count

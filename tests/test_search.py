@@ -255,7 +255,7 @@ def test_wrong_theorem_row_is_an_internal_error(monkeypatch):
 
 @pytest.mark.slow
 def test_linear_3conn_n7_matches_hamming_rank():
-    # ~30 seconds single-core: scans the 2^21 masks for 3-connected
+    # ~25 seconds single-core: scans the 2^21 masks for 3-connected
     # candidates and stops at the proven rank cap
     result = S.max_linear_family(7, P.THREE_CONNECTED)
     assert result.status == "exact"
