@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .constructions import _is_prime
-from .core import LabeledGraph, adjacency_masks, edge_slots
+from .core import LabeledGraph, _is_prime, adjacency_masks, edge_slots
 from .errors import (CapabilityError, DomainError, GraphCodesError,
                      UnsupportedParameterError)
 

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success / verification pass, 1 verification fail (or a search
 that proved a claimed size wrong), 2 usage or capability errors.
+
+Each command imports the modules it runs when it runs, so `bound` and
+`table` do not pay for constructions, verification or search.
 """
 
 from __future__ import annotations
@@ -11,19 +14,7 @@ import json
 import math
 import sys
 
-from . import bounds, constructions, search
 from .errors import GraphCodesError
-from .factorization import starter_factorization, verify_p1f
-from .family import load_family, save_family
-from .linalg import LinearFamily
-from .predicates import parse_predicate
-from .verify import (
-    VerifyReport,
-    verify_dual_family,
-    verify_dual_sampled,
-    verify_family,
-    verify_linear_family,
-)
 
 
 def _fits_str(x: int) -> bool:
@@ -45,6 +36,10 @@ def _fmt_size(x: int) -> str:
 
 
 def _cmd_build(args) -> int:
+    from . import constructions
+    from .family import load_family, save_family
+    from .linalg import LinearFamily
+
     if args.family not in constructions.REGISTRY:
         known = ", ".join(sorted(constructions.REGISTRY))
         raise GraphCodesError(f"unknown family {args.family!r}; known: {known}")
@@ -91,16 +86,17 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _witness_text(report: VerifyReport) -> str:
-    (i, j), diff = report.witness
-    return f"witness pair ({i}, {j}); difference edges {diff.edges()}"
-
-
 def _cmd_verify(args) -> int:
+    from .family import load_family
+    from .linalg import LinearFamily
+    from .predicates import parse_predicate
+    from .verify import (verify_dual_family, verify_dual_sampled,
+                         verify_family, verify_linear_family)
+
     pred = parse_predicate(args.pred)
     loaded = load_family(args.family_file)
     linear = args.linear or loaded.role == "basis"
-    if args.sample:
+    if args.sample is not None:
         if not args.dual:
             raise GraphCodesError("--sample is only available for dual checks")
         fam = loaded.to_graph_family()
@@ -133,11 +129,14 @@ def _cmd_verify(args) -> int:
         print(f"{verdict} [{report.mode}] checked {report.pairs_checked}"
               f" {'members' if report.mode == 'linear' else 'pairs'}")
         if report.witness:
-            print(_witness_text(report))
+            (i, j), diff = report.witness
+            print(f"witness pair ({i}, {j}); difference edges {diff.edges()}")
     return 0 if report.passed else 1
 
 
 def _cmd_bound(args) -> int:
+    from . import bounds
+
     rep = bounds.bound_report(args.pred, args.n)
     dual = bounds.dual_report(args.pred, args.n)
     if args.json:
@@ -168,6 +167,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search
+    from .family import save_family
+    from .predicates import parse_predicate
+
     pred = parse_predicate(args.pred)
     kwargs = {"budget_nodes": args.budget_nodes, "time_ms": args.time_ms}
     if args.mode == "good":
@@ -204,6 +207,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import bounds
+
     try:
         lo_text, hi_text = args.range.split("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -230,6 +235,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
+    from .factorization import starter_factorization, verify_p1f
+    from .family import save_family
+
     f = starter_factorization(args.m)
     perfect = verify_p1f(f)
     if args.out:
@@ -253,6 +261,18 @@ def _cmd_factorize(args) -> int:
 # parser
 
 
+class _BuildHelp(argparse.HelpFormatter):
+    """Lists the known families as the help of `--family`, importing them
+    only when help is printed rather than whenever the parser is built."""
+
+    def _get_help_string(self, action):
+        if action.dest != "family":
+            return action.help
+        from .constructions import REGISTRY
+
+        return ", ".join(sorted(REGISTRY))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphcodes",
@@ -261,9 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="construct a family and write it")
-    p_build.add_argument("--family", required=True,
-                         help=", ".join(sorted(constructions.REGISTRY)))
+    p_build = sub.add_parser("build", help="construct a family and write it",
+                             formatter_class=_BuildHelp)
+    p_build.add_argument("--family", required=True, help="known families")
     p_build.add_argument("--n", type=int)
     p_build.add_argument("--k", type=int)
     p_build.add_argument("--p", type=int)

@@ -14,6 +14,7 @@ from math import comb
 
 from .core import (
     LabeledGraph,
+    _is_prime,
     complete_graph,
     edge_index,
     edge_slots,
@@ -24,17 +25,6 @@ from .errors import CapabilityError, DomainError, UnsupportedParameterError
 from .factorization import starter_factorization, verify_p1f
 from .family import ENUM_BUDGET, GraphFamily, ImplicitFamily
 from .linalg import LinearFamily, gf2_reduced_basis, gray_span
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

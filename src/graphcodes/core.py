@@ -55,6 +55,18 @@ def edge_from_index(idx: int, n: int) -> tuple[int, int]:
     return idx - t * (t - 1) // 2 + 1, t + 1
 
 
+def _is_prime(p: int) -> bool:
+    """Primality by trial division, for the orders the constructions need."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 @lru_cache(maxsize=None)
 def incidence_masks(n: int) -> tuple[int, ...]:
     """For each vertex v (0-based), the mask of slots of edges touching v+1."""

@@ -171,17 +171,18 @@ def load_family(path) -> LoadedFamily:
         if key not in doc:
             raise DomainError(f"{path}: family file lacks {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError("bad vertex count in family file")
     if not isinstance(doc["graphs"], list):
         raise DomainError(f"{path}: 'graphs' must be a list of hex strings")
+    role = doc.get("role")
+    if "role" in doc and not isinstance(role, str):
+        raise DomainError(f"{path}: 'role' must be a string")
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise DomainError(f"{path}: 'provenance' must be a JSON object")
     try:
         graphs = tuple(LabeledGraph.from_hex(n, h) for h in doc["graphs"])
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{path}: bad graph entry ({exc})") from exc
-    return LoadedFamily(
-        n=n,
-        graphs=graphs,
-        role=doc.get("role"),
-        provenance=doc.get("provenance", {}),
-    )
+    return LoadedFamily(n=n, graphs=graphs, role=role, provenance=provenance)

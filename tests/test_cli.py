@@ -219,6 +219,18 @@ def test_sample_requires_dual(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sample", ("0", "-1"))
+def test_dual_sample_needs_a_positive_count(tmp_path, capsys, sample):
+    # --sample 0 is a sample of no pairs, not a request for the exact check
+    out = tmp_path / "ds4.json"
+    assert run("build", "--family", "dual-star", "--n", "4",
+               "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("verify", "--pred", "star", "--dual", "--sample", sample,
+               str(out)) == 2
+    assert "need at least one sampled pair" in capsys.readouterr().err
+
+
 def test_sub_pattern_predicate(tmp_path, capsys):
     pat = tmp_path / "k3.json"
     save_family(pat, 3, [complete_graph(3)])
@@ -280,6 +292,19 @@ def test_malformed_graphs_not_a_list(tmp_path, capsys):
     bad.write_text(json.dumps(_family_doc(graphs="0007")))
     assert run("verify", "--pred", "connected", str(bad)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes,message", (
+    ({"provenance": [1]}, "'provenance' must be a JSON object"),
+    ({"provenance": "split-clique"}, "'provenance' must be a JSON object"),
+    ({"role": 5}, "'role' must be a string"),
+    ({"n": True, "graphs": [""]}, "bad vertex count"),
+), ids=("provenance-list", "provenance-str", "role-int", "n-bool"))
+def test_malformed_field_types(tmp_path, capsys, changes, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_family_doc(**changes)))
+    assert run("verify", "--pred", "connected", str(bad)) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ("connected", "2conn", "3conn", "hampath",
