@@ -96,14 +96,14 @@ def _cmd_verify(args) -> int:
     pred = parse_predicate(args.pred)
     loaded = load_family(args.family_file)
     linear = args.linear or loaded.role == "basis"
+    if linear and args.dual:
+        raise GraphCodesError("linear verification has no dual mode")
     if args.sample is not None:
         if not args.dual:
             raise GraphCodesError("--sample is only available for dual checks")
         fam = loaded.to_graph_family()
         report = verify_dual_sampled(fam, pred, pairs=args.sample, seed=args.seed)
     elif linear:
-        if args.dual:
-            raise GraphCodesError("linear verification has no dual mode")
         fam = LinearFamily(loaded.n, loaded.graphs)
         report = verify_linear_family(fam, pred)
     else:

@@ -200,20 +200,25 @@ def _cut_pairs(n: int, adj: list[int]) -> list[tuple[int, int]]:
     return pairs
 
 
+def _kappa(n: int, adj: list[int], cap: int, need: int = 1) -> int:
+    """min(vertex connectivity, cap) of the graph with these adjacency masks,
+    for a cap of at most n - 1 (a complete graph has no cut pairs).  The
+    loop stops at the first local connectivity below ``need`` and returns
+    it: then the value only shows that the graph is not ``need``-connected."""
+    best = cap
+    for s, t in _cut_pairs(n, adj):
+        best = _max_flow_at_most(n, adj, s, t, best)
+        if best < need:
+            break
+    return best
+
+
 def _kappa_mask(n: int, bits: int, cap: int | None = None) -> int:
     """min(vertex connectivity, cap); complete graphs count as (n-1)-connected."""
     limit = n - 1 if cap is None else min(cap, n - 1)
     if bits == (1 << edge_slots(n)) - 1:
         return limit
-    adj = adjacency_masks(n, bits)
-    best = limit
-    for s, t in _cut_pairs(n, adj):
-        f = _max_flow_at_most(n, adj, s, t, best)
-        if f < best:
-            best = f
-            if best == 0:
-                break
-    return best
+    return _kappa(n, adjacency_masks(n, bits), limit)
 
 
 def _is_k_connected_mask(n: int, bits: int, k: int) -> bool:
@@ -232,12 +237,7 @@ def _is_k_connected_mask(n: int, bits: int, k: int) -> bool:
         full = (1 << n) - 1
         return all(_biconnected_from_adj(n, adj, full ^ (1 << v))
                    for v in range(n))
-    if bits == (1 << edge_slots(n)) - 1:
-        return True
-    for s, t in _cut_pairs(n, adj):
-        if _max_flow_at_most(n, adj, s, t, k) < k:
-            return False
-    return True
+    return _kappa(n, adj, k, need=k) == k
 
 
 # ---------------------------------------------------------------------------

@@ -85,11 +85,18 @@ class _Budget:
 
 
 def _max_clique(
-    adj: list[int], budget: _Budget, floor: int = 0, cap: int | None = None
+    adj: list[int],
+    budget: _Budget,
+    floor: int = 0,
+    cap: int | None = None,
+    start: int | None = None,
 ) -> tuple[list[int], bool]:
-    """Deterministic branch and bound (greedy coloring bound) over vertices
-    0..len(adj)-1 in index order.  Returns (clique, exhausted): the clique is
-    a maximum one unless the budget ran out, then the incumbent.
+    """Deterministic branch and bound (greedy coloring bound) over the
+    vertices in the bitset ``start`` (default: every index of ``adj``), in
+    index order.  ``adj[v]`` is the neighbor bitset of vertex v; only its
+    bits inside ``start`` are ever read.  Returns (clique, exhausted): the
+    clique, as vertex indices in the order chosen, is a maximum one unless
+    the budget ran out, then the incumbent.
 
     Each node colors its candidate set p with bitsets (San Segundo et al.,
     Computers & OR 38, 2011), one color class at a time: a class is the
@@ -98,7 +105,9 @@ def _max_clique(
     order builds (a vertex joins the first class holding none of its
     neighbors), so the bounds and the branching order -- highest color
     first, highest index first within a class -- are those of first-fit
-    coloring sorted by color.
+    coloring sorted by color.  Only the relative order of the vertices
+    matters, so the search on ``start`` is the search on the subgraph it
+    induces, relabeled in index order.
 
     Only cliques larger than ``floor`` are sought: a subtree is pruned when
     its bound is at most max(floor, len(best)).  The incumbent never changes
@@ -151,10 +160,12 @@ def _max_clique(
                 members ^= bit
             color -= 1
 
+    if start is None:
+        start = (1 << len(adj)) - 1
     exhausted = False
     try:
-        if adj:
-            expand([], (1 << len(adj)) - 1)
+        if start:
+            expand([], start)
     except _BudgetExhausted:
         exhausted = True
     except _CapReached:
@@ -164,24 +175,40 @@ def _max_clique(
 
 def _compatibility_graph(
     n: int, pred: Predicate, expect: bool
-) -> tuple[list[int], list[int]]:
-    """(candidates, adjacency): the nonzero masks whose predicate verdict is
-    ``expect``, ascending, and for each one the bitset of the candidates
-    whose difference with it has that verdict too."""
+) -> tuple[int, list[int]]:
+    """(table, rows) of the compatibility graph on the candidates, the
+    nonzero masks whose predicate verdict is ``expect``.
+
+    ``table`` is the candidates as one bitset over all 2^C(n,2) masks (bit
+    0, the empty graph, is never a difference of two distinct candidates
+    and stays clear).  ``rows[c]`` is the bitset of the candidates whose
+    difference with candidate c is a candidate too, and 0 for a mask c
+    that is not one.  That row is the table translated by c (bit m set iff
+    bit m ^ c is) and masked with the table: the graph is a Cayley graph of
+    Z_2^C(n,2).  The translates are produced in Gray-code order of c, each
+    from the one before by swapping the blocks of width 2^s whose masks
+    differ in bit s, so every row costs a few big-int operations."""
     slots = edge_slots(n)
+    size = 1 << slots
     test = pred.test_mask
-    # one predicate call per mask: table[d] says whether difference d is
-    # admissible, and the adjacency is read off it (the empty graph is never
-    # a difference of two distinct candidates, so it is not tested)
-    table = [False] + [test(n, m) == expect for m in range(1, 1 << slots)]
-    cands = [m for m in range(1, 1 << slots) if table[m]]
-    adj = [0] * len(cands)
-    for i, ci in enumerate(cands):
-        for j in range(i + 1, len(cands)):
-            if table[ci ^ cands[j]]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return cands, adj
+    # one predicate call per nonzero mask, ascending; the bit string lists
+    # the verdicts from mask size - 1 down to mask 0
+    verdicts = ["0"] + ["1" if test(n, m) == expect else "0"
+                        for m in range(1, size)]
+    table = int("".join(reversed(verdicts)), 2)
+    # low[s] marks the masks with bit s clear: blocks of 2^s ones and zeros
+    low = [((1 << (1 << s)) - 1) * ((1 << size) - 1) // ((1 << (2 << s)) - 1)
+           for s in range(slots)]
+    rows = [0] * size
+    x = table
+    for k in range(1, size):
+        s = (k & -k).bit_length() - 1  # the Gray code flips bit s at step k
+        w, b = 1 << s, low[s]
+        x = (x >> w) & b | (x & b) << w
+        c = k ^ (k >> 1)
+        if table >> c & 1:
+            rows[c] = x & table
+    return table, rows
 
 
 def _theorem_seed(pred: Predicate, n: int) -> tuple[int | None, int | None]:
@@ -199,21 +226,21 @@ def _theorem_seed(pred: Predicate, n: int) -> tuple[int | None, int | None]:
 def _compatibility_search(
     n: int, pred: Predicate, expect: bool, budget_nodes, time_ms, mode: str
 ) -> SearchResult:
-    cands, adj = _compatibility_graph(n, pred, expect)
+    table, rows = _compatibility_graph(n, pred, expect)
     lower, upper = _theorem_seed(pred, n) if mode == "good" else (None, None)
     # in clique sizes, which leave out the pinned empty graph: beating
     # lower - 2 means reaching a family as large as the construction
     floor = max(lower - 2, 0) if lower is not None else 0
     cap = upper - 1 if upper is not None else None
     budget = _Budget(budget_nodes, time_ms)
-    clique, exhausted = _max_clique(adj, budget, floor, cap)
+    clique, exhausted = _max_clique(rows, budget, floor, cap, table)
     if floor and not exhausted and not clique:
         raise RuntimeError(
             f"internal error: the theorem row of {pred.name} at n={n} claims "
             f"a family of {lower}, but the exact search found none that large"
         )
     status = "timeout" if exhausted else "exact"
-    masks = sorted([0] + [cands[i] for i in clique])
+    masks = sorted([0] + clique)
     certificate = GraphFamily(
         n,
         tuple(LabeledGraph(n, m) for m in masks),
@@ -225,8 +252,8 @@ def _compatibility_search(
         certificate=certificate,
         explored=budget.nodes,
         status=status,
-        candidates=len(cands),
-        compat_edges=sum(a.bit_count() for a in adj) // 2,
+        candidates=table.bit_count(),
+        compat_edges=sum(r.bit_count() for r in rows) // 2,
         size_floor=lower,
         size_cap=upper,
     )

@@ -231,6 +231,21 @@ def test_dual_sample_needs_a_positive_count(tmp_path, capsys, sample):
     assert "need at least one sampled pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sample", ((), ("--sample", "5")))
+def test_basis_file_has_no_dual_check(tmp_path, capsys, sample):
+    # a sampled dual check of a basis file tested pairs of its generators,
+    # not of the span, and reported FAIL with exit 1
+    out = tmp_path / "hc8.json"
+    assert run("build", "--family", "hamcycle", "--n", "8",
+               "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("verify", "--pred", "hamcycle", "--dual", *sample,
+               str(out)) == 2
+    captured = capsys.readouterr()
+    assert "linear verification has no dual mode" in captured.err
+    assert captured.out == ""
+
+
 def test_sub_pattern_predicate(tmp_path, capsys):
     pat = tmp_path / "k3.json"
     save_family(pat, 3, [complete_graph(3)])

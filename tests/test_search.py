@@ -183,17 +183,59 @@ def test_extended_good_search_n5():
 def test_hampath_n5_search_tree_and_counters():
     # pins the size of the unseeded branch-and-bound tree, the seeded one
     # (the theorem row's floor 14 and cap 15 cut it) and the search counters
-    cands, adj = S._compatibility_graph(5, P.HAMPATH, True)
+    table, rows = S._compatibility_graph(5, P.HAMPATH, True)
     budget = S._Budget(None, None)
-    clique, exhausted = S._max_clique(adj, budget)
+    clique, exhausted = S._max_clique(rows, budget, start=table)
     assert (len(clique), exhausted, budget.nodes) == (15, False, 187_756)
     result = S.max_good_family(5, P.HAMPATH)
     assert (result.status, result.optimum, result.explored) == \
         ("exact", 16, 1_660)
     assert (result.candidates, result.compat_edges) == (633, 116_658)
     assert (result.size_floor, result.size_cap) == (16, 16)
-    assert result.certificate.masks() == sorted([0] + [cands[i] for i in clique])
+    assert result.certificate.masks() == sorted([0] + clique)
     assert verify_family(result.certificate, P.HAMPATH).passed
+
+
+def reference_compatibility_graph(n, pred, expect):
+    """(candidates, adjacency) by a double loop over candidate pairs: the
+    nonzero masks whose verdict is expect, ascending, and for each one the
+    bitset, in candidate indices, of those whose difference with it has
+    that verdict too."""
+    slots = n * (n - 1) // 2
+    table = [False] + [pred.test_mask(n, m) == expect
+                       for m in range(1, 1 << slots)]
+    cands = [m for m in range(1, 1 << slots) if table[m]]
+    adj = [0] * len(cands)
+    for i, ci in enumerate(cands):
+        for j in range(i + 1, len(cands)):
+            if table[ci ^ cands[j]]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return cands, adj
+
+
+def _compatibility_cases():
+    # indsub:edgeless-3 holds on the empty graph, sub:3v/07 is a pattern
+    preds = (P.CONNECTED, P.TWO_CONNECTED, P.THREE_CONNECTED, P.HAMPATH,
+             P.HAMCYCLE, P.STAR, P.K3, P.ODDCYCLE,
+             P.contains_induced_pred(empty_graph(3), "indsub:edgeless-3"),
+             P.contains(complete_graph(3)))
+    for pred in preds:
+        for expect, top in ((True, 5), (False, 4)):
+            for n in range(3 if pred is P.HAMCYCLE else 2, top + 1):
+                yield pytest.param(pred, n, expect,
+                                   id=f"{pred.name}-{n}-{expect}")
+
+
+@pytest.mark.parametrize("pred, n, expect", _compatibility_cases())
+def test_translated_rows_match_the_pairwise_reference(pred, n, expect):
+    cands, adj = reference_compatibility_graph(n, pred, expect)
+    table, rows = S._compatibility_graph(n, pred, expect)
+    assert table == sum(1 << c for c in cands)
+    expected = [0] * (1 << n * (n - 1) // 2)
+    for c, a in zip(cands, adj):
+        expected[c] = sum(1 << d for j, d in enumerate(cands) if a >> j & 1)
+    assert rows == expected
 
 
 @pytest.mark.parametrize("pred", (P.K3, P.ODDCYCLE), ids=lambda p: p.name)
@@ -276,11 +318,11 @@ class _CapReached(Exception):
     pass
 
 
-def reference_max_clique(adj, budget, floor=0, cap=None):
+def reference_max_clique(adj, budget, floor=0, cap=None, start=None):
     """Branch and bound with a first-fit greedy coloring in index order, the
-    coloring sorted by color, branching from the highest color down; only
-    cliques larger than floor are sought, and the search stops once the
-    clique reaches cap."""
+    coloring sorted by color, branching from the highest color down, over
+    the vertices in start (default all); only cliques larger than floor are
+    sought, and the search stops once the clique reaches cap."""
     best = []
     size = floor
 
@@ -320,10 +362,12 @@ def reference_max_clique(adj, budget, floor=0, cap=None):
             r.pop()
             p ^= 1 << v
 
+    if start is None:
+        start = (1 << len(adj)) - 1
     exhausted = False
     try:
-        if adj:
-            expand([], (1 << len(adj)) - 1)
+        if start:
+            expand([], start)
     except S._BudgetExhausted:
         exhausted = True
     except _CapReached:
@@ -380,6 +424,26 @@ def test_seeded_max_clique_returns_the_unseeded_clique(adj, data):
         run_clique(S._max_clique, adj, None, floor, cap)
     assert not exhausted and (seeded, seeded_exhausted) == (plain, False)
     assert seeded_nodes <= nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs(), st.data())
+def test_max_clique_on_a_start_set_is_the_induced_search(adj, data):
+    # the search on start is the one on the subgraph start induces, with
+    # its vertices relabeled 0, 1, ... in index order
+    start = data.draw(st.integers(0, (1 << len(adj)) - 1), label="start")
+    limit = data.draw(st.one_of(st.none(), st.integers(1, 60)), label="limit")
+    floor = data.draw(st.integers(0, 8), label="floor")
+    cap = data.draw(st.one_of(st.none(), st.integers(0, 10)), label="cap")
+    verts = [v for v in range(len(adj)) if start >> v & 1]
+    sub = [sum(1 << j for j, u in enumerate(verts) if adj[v] >> u & 1)
+           for v in verts]
+    clique, exhausted, nodes = run_clique(S._max_clique, adj, limit, floor,
+                                          cap, start)
+    ref_clique, ref_exhausted, ref_nodes = run_clique(
+        reference_max_clique, sub, limit, floor, cap)
+    assert (clique, exhausted, nodes) == \
+        ([verts[i] for i in ref_clique], ref_exhausted, ref_nodes)
 
 
 @pytest.mark.parametrize("search", (S.max_good_family, S.max_dual_family))
