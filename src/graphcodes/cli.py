@@ -198,6 +198,15 @@ def _cmd_search(args) -> int:
         print(line)
         if args.out:
             print(f"certificate written to {args.out}")
+    if args.stats:
+        fields = [f"mode={args.mode}", f"status={result.status}",
+                  f"explored={result.explored}"]
+        if result.candidates is not None:
+            fields += [f"candidates={result.candidates}",
+                       f"compat_edges={result.compat_edges}"]
+        fields += [f"{phase}_s={secs:.4f}"
+                   for phase, secs in result.phase_seconds.items()]
+        print("stats: " + " ".join(fields), file=sys.stderr)
     if args.expect is not None and result.status == "exact" \
             and result.optimum < args.expect:
         print(f"search proved the optimum is {result.optimum} < {args.expect}",
@@ -324,6 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--expect", type=int,
                           help="exit 1 if the exact optimum is below this")
     p_search.add_argument("--json", action="store_true")
+    p_search.add_argument("--stats", action="store_true",
+                          help="print counters and phase times on stderr")
 
     p_table = sub.add_parser("table", help="theorem table over a range of n")
     p_table.add_argument("--range", required=True, help="a..b with 3<=a<=b<=14")

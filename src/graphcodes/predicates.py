@@ -472,26 +472,48 @@ class _Kind(NamedTuple):
     too_small: str
     ham_capped: bool  # subject to the Hamiltonicity cap
     kernel: Callable[[Predicate, int, int], bool]  # (predicate, n, bits)
+    # (bitslice module, predicate, n, edge matrix, ones) -> truth table; the
+    # module comes in as an argument because it is imported on first use
+    table: Callable[..., int]
 
 
 _CONNECTIVITY_MIN = "connectivity needs at least 2 vertices"
 
 _KINDS: dict[str, _Kind] = {
-    "connected": _Kind(2, _CONNECTIVITY_MIN, False,
-                       lambda p, n, bits: _connected_mask(n, bits)),
-    "kconn": _Kind(2, _CONNECTIVITY_MIN, False,
-                   lambda p, n, bits: _is_k_connected_mask(n, bits, p.k)),
-    "hampath": _Kind(2, "a Hamiltonian path needs at least 2 vertices", True,
-                     lambda p, n, bits: _ham_path_mask(n, bits)),
-    "hamcycle": _Kind(3, "a Hamiltonian cycle needs at least 3 vertices", True,
-                      lambda p, n, bits: _ham_cycle_mask(n, bits)),
-    "star": _Kind(2, "a spanning star needs at least 2 vertices", False,
-                  lambda p, n, bits: _spanning_star_mask(n, bits)),
-    "contains": _Kind(0, "", False, lambda p, n, bits: _contains_mask(
-        n, bits, p.pattern.n, p.pattern.bits, False)),
-    "contains-induced": _Kind(0, "", False, lambda p, n, bits: _contains_mask(
-        n, bits, p.pattern.n, p.pattern.bits, True)),
-    "oddcycle": _Kind(0, "", False, lambda p, n, bits: _odd_cycle_mask(n, bits)),
+    "connected": _Kind(
+        2, _CONNECTIVITY_MIN, False,
+        lambda p, n, bits: _connected_mask(n, bits),
+        lambda b, p, n, e, ones: b.reach(n, e, ones, (1 << n) - 1)),
+    "kconn": _Kind(
+        2, _CONNECTIVITY_MIN, False,
+        lambda p, n, bits: _is_k_connected_mask(n, bits, p.k),
+        lambda b, p, n, e, ones: b.k_connected(n, e, ones, p.k)),
+    "hampath": _Kind(
+        2, "a Hamiltonian path needs at least 2 vertices", True,
+        lambda p, n, bits: _ham_path_mask(n, bits),
+        lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, False)),
+    "hamcycle": _Kind(
+        3, "a Hamiltonian cycle needs at least 3 vertices", True,
+        lambda p, n, bits: _ham_cycle_mask(n, bits),
+        lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, True)),
+    "star": _Kind(
+        2, "a spanning star needs at least 2 vertices", False,
+        lambda p, n, bits: _spanning_star_mask(n, bits),
+        lambda b, p, n, e, ones: b.star(n, e, ones)),
+    "contains": _Kind(
+        0, "", False,
+        lambda p, n, bits: _contains_mask(
+            n, bits, p.pattern.n, p.pattern.bits, False),
+        lambda b, p, n, e, ones: b.contains(n, e, ones, p.pattern, False)),
+    "contains-induced": _Kind(
+        0, "", False,
+        lambda p, n, bits: _contains_mask(
+            n, bits, p.pattern.n, p.pattern.bits, True),
+        lambda b, p, n, e, ones: b.contains(n, e, ones, p.pattern, True)),
+    "oddcycle": _Kind(
+        0, "", False,
+        lambda p, n, bits: _odd_cycle_mask(n, bits),
+        lambda b, p, n, e, ones: b.odd_cycle(n, e, ones)),
 }
 
 
@@ -508,16 +530,35 @@ class Predicate:
         if self.kind not in _KINDS:
             raise DomainError(f"unknown predicate kind {self.kind!r}")
 
-    def test_mask(self, n: int, bits: int) -> bool:
-        min_n, too_small, ham_capped, kernel = _KINDS[self.kind]
-        if n < min_n:
-            raise DomainError(too_small)
-        if ham_capped and n > _hamiltonian_cap:
+    def _domain(self, n: int) -> _Kind:
+        """The kind's entry, once n is checked against its minimum and the
+        Hamiltonicity cap."""
+        kind = _KINDS[self.kind]
+        if n < kind.min_n:
+            raise DomainError(kind.too_small)
+        if kind.ham_capped and n > _hamiltonian_cap:
             raise CapabilityError(
                 f"n={n} exceeds the Hamiltonicity cap {_hamiltonian_cap}; "
                 "raise it with set_hamiltonian_cap"
             )
-        return kernel(self, n, bits)
+        return kind
+
+    def test_mask(self, n: int, bits: int) -> bool:
+        return self._domain(n).kernel(self, n, bits)
+
+    def table(self, n: int, block: int = 0, width: int | None = None) -> int:
+        """The verdicts on 2^width masks as one bitset: bit i is the verdict
+        on mask ``block << width | i``.  ``width`` defaults to C(n, 2), the
+        whole truth table.  Slot e < width is the bit column of the masks
+        with bit e set, and slot e >= width is all ones or 0, as bit
+        e - width of ``block`` says; the predicate's formula over these
+        columns (``bitslice``) answers the whole block at once."""
+        kind = self._domain(n)
+        from . import bitslice
+
+        e, ones = bitslice.edge_matrix(
+            n, block, edge_slots(n) if width is None else width)
+        return kind.table(bitslice, self, n, e, ones)
 
     def test(self, g: LabeledGraph) -> bool:
         return self.test_mask(g.n, g.bits)

@@ -11,9 +11,9 @@ search runs on the graphs satisfying (or violating) the predicate alone.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 
+from .bitslice import slot_columns
 from .core import LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily
@@ -25,6 +25,9 @@ GOOD_EXACT_LIMIT = 5
 DUAL_EXACT_LIMIT = 4
 LINEAR_LIMIT = 8
 DEFAULT_BUDGET_NODES = 10**8
+# the linear search classifies masks in blocks of 2^_BLOCK_WIDTH, so that a
+# budgeted search at n = 8 builds only the blocks it reaches
+_BLOCK_WIDTH = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,6 +48,9 @@ class SearchResult:
     # proven bound), None where the row has no such value
     size_floor: int | None = None
     size_cap: int | None = None
+    # wall time per phase, in seconds: classify, adjacency and clique for
+    # compatibility searches, classify and basis for linear ones
+    phase_seconds: dict[str, float] | None = None
 
 
 class _BudgetExhausted(Exception):
@@ -69,17 +75,22 @@ class _Budget:
             time.perf_counter() + time_ms / 1000.0 if time_ms is not None else None
         )
 
-    def spend(self) -> None:
-        """Count one expanded node; the node that would exceed the budget
-        raises instead and is not counted."""
-        nodes = self.nodes + 1
+    def spend(self, count: int = 1) -> None:
+        """Count ``count`` expanded nodes, as ``count`` single steps would:
+        the node that would exceed the budget raises instead and is not
+        counted, the ones before it are.  The deadline is read at the nodes
+        whose count is a multiple of 1024 (once per call), and a passed
+        deadline stops the count just before the first of them."""
+        nodes = self.nodes + count
         if nodes > self.limit:
+            self.nodes = self.limit
             raise _BudgetExhausted
         if (
             self.deadline is not None
-            and nodes % 1024 == 0
+            and nodes >> 10 != self.nodes >> 10
             and time.perf_counter() > self.deadline
         ):
+            self.nodes |= 1023
             raise _BudgetExhausted
         self.nodes = nodes
 
@@ -173,42 +184,48 @@ def _max_clique(
     return best, exhausted
 
 
+def _candidates(n: int, pred: Predicate, expect: bool) -> int:
+    """The nonzero masks whose predicate verdict is ``expect``, as one bitset
+    over all 2^C(n,2) masks: the predicate's truth table, complemented for
+    ``expect`` False.  Bit 0, the empty graph, is never a difference of two
+    distinct candidates and stays clear."""
+    table = pred.table(n)
+    if not expect:
+        table ^= (1 << (1 << edge_slots(n))) - 1
+    return table & ~1
+
+
+def _translated_rows(n: int, table: int) -> list[int]:
+    """``rows[c]`` is the bitset of the candidates whose difference with
+    candidate c is a candidate too, and 0 for a mask c that is not one.
+    That row is the table translated by c (bit m set iff bit m ^ c is) and
+    masked with the table: the graph is a Cayley graph of Z_2^C(n,2).  The
+    translates are produced in Gray-code order of c, each from the one
+    before by swapping the blocks of width 2^s whose masks differ in bit s,
+    so every row costs a few big-int operations."""
+    slots = edge_slots(n)
+    cols = slot_columns(slots)
+    rows = [0] * (1 << slots)
+    x = table
+    for k in range(1, len(rows)):
+        s = (k & -k).bit_length() - 1  # the Gray code flips bit s at step k
+        w, high = 1 << s, cols[s]
+        x = (x & high) >> w | (x & ~high) << w
+        c = k ^ (k >> 1)
+        if table >> c & 1:
+            rows[c] = x & table
+    return rows
+
+
 def _compatibility_graph(
     n: int, pred: Predicate, expect: bool
 ) -> tuple[int, list[int]]:
     """(table, rows) of the compatibility graph on the candidates, the
-    nonzero masks whose predicate verdict is ``expect``.
-
-    ``table`` is the candidates as one bitset over all 2^C(n,2) masks (bit
-    0, the empty graph, is never a difference of two distinct candidates
-    and stays clear).  ``rows[c]`` is the bitset of the candidates whose
-    difference with candidate c is a candidate too, and 0 for a mask c
-    that is not one.  That row is the table translated by c (bit m set iff
-    bit m ^ c is) and masked with the table: the graph is a Cayley graph of
-    Z_2^C(n,2).  The translates are produced in Gray-code order of c, each
-    from the one before by swapping the blocks of width 2^s whose masks
-    differ in bit s, so every row costs a few big-int operations."""
-    slots = edge_slots(n)
-    size = 1 << slots
-    test = pred.test_mask
-    # one predicate call per nonzero mask, ascending; the bit string lists
-    # the verdicts from mask size - 1 down to mask 0
-    verdicts = ["0"] + ["1" if test(n, m) == expect else "0"
-                        for m in range(1, size)]
-    table = int("".join(reversed(verdicts)), 2)
-    # low[s] marks the masks with bit s clear: blocks of 2^s ones and zeros
-    low = [((1 << (1 << s)) - 1) * ((1 << size) - 1) // ((1 << (2 << s)) - 1)
-           for s in range(slots)]
-    rows = [0] * size
-    x = table
-    for k in range(1, size):
-        s = (k & -k).bit_length() - 1  # the Gray code flips bit s at step k
-        w, b = 1 << s, low[s]
-        x = (x >> w) & b | (x & b) << w
-        c = k ^ (k >> 1)
-        if table >> c & 1:
-            rows[c] = x & table
-    return table, rows
+    nonzero masks whose predicate verdict is ``expect``: the table from one
+    evaluation of the predicate's truth-table formula (``_candidates``) and
+    the rows by translating it (``_translated_rows``)."""
+    table = _candidates(n, pred, expect)
+    return table, _translated_rows(n, table)
 
 
 def _theorem_seed(pred: Predicate, n: int) -> tuple[int | None, int | None]:
@@ -226,14 +243,20 @@ def _theorem_seed(pred: Predicate, n: int) -> tuple[int | None, int | None]:
 def _compatibility_search(
     n: int, pred: Predicate, expect: bool, budget_nodes, time_ms, mode: str
 ) -> SearchResult:
-    table, rows = _compatibility_graph(n, pred, expect)
+    t0 = time.perf_counter()
+    table = _candidates(n, pred, expect)
+    t1 = time.perf_counter()
+    rows = _translated_rows(n, table)
+    t2 = time.perf_counter()
     lower, upper = _theorem_seed(pred, n) if mode == "good" else (None, None)
     # in clique sizes, which leave out the pinned empty graph: beating
     # lower - 2 means reaching a family as large as the construction
     floor = max(lower - 2, 0) if lower is not None else 0
     cap = upper - 1 if upper is not None else None
     budget = _Budget(budget_nodes, time_ms)
+    t3 = time.perf_counter()
     clique, exhausted = _max_clique(rows, budget, floor, cap, table)
+    t4 = time.perf_counter()
     if floor and not exhausted and not clique:
         raise RuntimeError(
             f"internal error: the theorem row of {pred.name} at n={n} claims "
@@ -256,6 +279,8 @@ def _compatibility_search(
         compat_edges=sum(r.bit_count() for r in rows) // 2,
         size_floor=lower,
         size_cap=upper,
+        phase_seconds={"classify": t1 - t0, "adjacency": t2 - t1,
+                       "clique": t4 - t3},
     )
 
 
@@ -304,6 +329,29 @@ def max_dual_family(
     return _compatibility_search(n, pred, False, budget_nodes, time_ms, "dual")
 
 
+class _VerdictBlocks(dict):
+    """The masks in blocks of 2^width: ``blocks[b][i]`` is "1" iff mask
+    b << width | i satisfies the predicate.  Each block is classified from
+    the predicate's truth table on first use, and ``seconds`` sums the time
+    that takes.  The empty graph is never a candidate: a basis vector g
+    inside the span puts it into span + g, and g is refused even where the
+    predicate holds on the empty graph."""
+
+    def __init__(self, n: int, pred: Predicate, width: int):
+        super().__init__()
+        self.n, self.pred, self.width = n, pred, width
+        self.seconds = 0.0
+
+    def __missing__(self, b: int) -> str:
+        t = time.perf_counter()
+        table = self.pred.table(self.n, b, self.width)
+        if b == 0:
+            table &= ~1
+        verdicts = self[b] = format(table, f"0{1 << self.width}b")[::-1]
+        self.seconds += time.perf_counter() - t
+        return verdicts
+
+
 def linear_rank_bound(pred: Predicate, n: int) -> int | None:
     """A proven cap on the rank of a linear family for this predicate, where
     one is known; used to stop the basis search early.  The named predicates
@@ -335,45 +383,36 @@ def max_linear_family(
     if n < 2:
         raise DomainError("need n >= 2")
     slots = edge_slots(n)
-    test = pred.test_mask
     cap = linear_rank_bound(pred, n)
     if max_rank is not None:
         cap = max_rank if cap is None else min(cap, max_rank)
     if cap is None:
         cap = slots
     budget = _Budget(budget_nodes, time_ms)
-
-    # lazily discovered predicate-satisfying masks, ascending; every mask
-    # below scan_state[0] has been classified
-    cand_cache: list[int] = []
-    scan_state = [1]
+    began = time.perf_counter()
+    width = min(slots, _BLOCK_WIDTH)
+    low = (1 << width) - 1
+    top = 1 << slots
+    blocks = _VerdictBlocks(n, pred, width)
+    blocks[0]  # checks n against the predicate's domain before any search
+    frontier = 1  # every mask below it has been probed
 
     def next_candidate(at_least: int) -> int | None:
-        idx = bisect_left(cand_cache, at_least)
-        if idx < len(cand_cache):
-            return cand_cache[idx]
-        probe = scan_state[0]
-        top = 1 << slots
-        while probe < top:
-            budget.spend()
-            m = probe
-            probe += 1
-            scan_state[0] = probe
-            if test(n, m):
-                cand_cache.append(m)
-                if m >= at_least:
-                    return m
+        # the least satisfying mask >= at_least; each mask probed past the
+        # frontier costs one node, spent a block at a time
+        nonlocal frontier
+        m = at_least
+        while m < top:
+            b = m >> width
+            i = blocks[b].find("1", m & low)
+            end = (b + 1) << width if i < 0 else (b << width | i) + 1
+            if end > frontier:
+                budget.spend(end - frontier)
+                frontier = end
+            if i >= 0:
+                return end - 1
+            m = end
         return None
-
-    def satisfies(m: int) -> bool:
-        # below the scan frontier a mask satisfies the predicate iff it was
-        # cached, so only unclassified masks reach the kernel.  The empty
-        # graph is never cached: a g inside the span puts it into span + g,
-        # and g is refused even where the predicate holds on the empty graph
-        if m < scan_state[0]:
-            idx = bisect_left(cand_cache, m)
-            return idx < len(cand_cache) and cand_cache[idx] == m
-        return test(n, m)
 
     best_basis: list[int] = []
     done = False
@@ -394,9 +433,12 @@ def max_linear_family(
                 return
             at_least = g + 1
             budget.spend()
-            new = [s ^ g for s in span]
-            if all(satisfies(x) for x in new):
-                extend(basis + [g], span + new, g + 1)
+            for s in span:
+                x = s ^ g
+                if blocks[x >> width][x & low] != "1":
+                    break
+            else:
+                extend(basis + [g], span + [s ^ g for s in span], g + 1)
 
     status = "exact"
     try:
@@ -417,4 +459,6 @@ def max_linear_family(
         explored=budget.nodes,
         status=status,
         rank=len(rows),
+        phase_seconds={"classify": blocks.seconds,
+                       "basis": time.perf_counter() - began - blocks.seconds},
     )

@@ -147,6 +147,42 @@ def test_search_rejects_negative_budgets(capsys, mode, flag):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ("good", "dual", "linear"))
+def test_search_checks_the_predicate_domain(capsys, mode):
+    # hamcycle n=2 has a rank cap of 0, so the linear search used to stop
+    # before any predicate call and print "optimum 1 [exact]" with exit 0
+    assert run("search", "--pred", "hamcycle", "--n", "2", "--mode", mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: a Hamiltonian cycle needs at least 3 vertices\n"
+
+
+@pytest.mark.parametrize("mode, phases", (
+    ("good", ("classify", "adjacency", "clique")),
+    ("linear", ("classify", "basis")),
+))
+def test_search_stats_line(capsys, mode, phases):
+    argv = ("search", "--pred", "k3", "--n", "4", "--mode", mode, "--json")
+    assert run(*argv) == 0
+    plain = capsys.readouterr()
+    assert run(*argv, "--stats") == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out and plain.err == ""
+    payload = json.loads(captured.out)
+    assert captured.err.count("\n") == 1
+    fields = dict(f.split("=") for f in
+                  captured.err.removeprefix("stats: ").split())
+    counters = {"mode": mode, "status": "exact",
+                "explored": str(payload["explored"])}
+    if mode == "good":
+        counters.update(candidates=str(payload["candidates"]),
+                        compat_edges=str(payload["compat_edges"]))
+    assert list(fields) == list(counters) + [f"{p}_s" for p in phases]
+    assert all(fields[k] == v for k, v in counters.items())
+    assert all(float(fields[f"{p}_s"]) >= 0 for p in phases)
+
+
 def test_search_expect_failure(capsys):
     assert run("search", "--pred", "k3", "--n", "4", "--mode", "good",
                "--expect", "5") == 1

@@ -129,7 +129,7 @@ FOOTPRINTS = {
                FAMILIES | {"graphcodes.predicates", "graphcodes.verify"}),
     "search": (["search", "--pred", "k3", "--n", "4", "--mode", "good"],
                FAMILIES | {"graphcodes.predicates", "graphcodes.search",
-                           "graphcodes.bounds"}),
+                           "graphcodes.bounds", "graphcodes.bitslice"}),
     "factorize": (["factorize", "--m", "6"],
                   {"graphcodes", "graphcodes.cli", "graphcodes.errors",
                    "graphcodes.core", "graphcodes.factorization",

@@ -31,6 +31,7 @@ from graphcodes import (
 )
 from graphcodes import predicates as P
 from graphcodes.constructions import k3_family_5, star_family, starter_factorization
+from graphcodes.bitslice import slot_columns
 from graphcodes.core import adjacency_masks
 from graphcodes.oracles import oracle_vertex_connectivity
 
@@ -532,3 +533,70 @@ def test_2conn_matches_max_flow_on_all_small_graphs(n, count):
         found += got
     # labeled 2-connected graphs on n vertices
     assert found == count
+
+
+# ---------------------------------------------------------------------------
+# truth tables against the kernels
+
+TABLE_PREDS = (P.CONNECTED, P.TWO_CONNECTED, P.THREE_CONNECTED, P.HAMPATH,
+               P.HAMCYCLE, P.STAR, P.K3, P.ODDCYCLE, k_connected(4),
+               k_connected(5), P.contains(path_graph(4)),
+               P.contains_induced_pred(empty_graph(3), "indsub:edgeless-3"))
+
+
+@pytest.mark.parametrize("pred", TABLE_PREDS, ids=lambda p: p.name)
+def test_table_matches_the_kernel_on_all_small_graphs(pred):
+    for n in range(1, 6):
+        try:
+            expected = sum(1 << m for m in range(1 << edge_slots(n))
+                           if pred.test_mask(n, m))
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=str(exc)):
+                pred.table(n)
+            continue
+        assert pred.table(n) == expected, n
+        # the blocks of every width tile the table
+        for width in range(edge_slots(n) + 1):
+            blocks = [pred.table(n, b, width)
+                      for b in range(1 << edge_slots(n) - width)]
+            assert sum(t << (b << width) for b, t in enumerate(blocks)) \
+                == expected, (n, width)
+
+
+@pytest.mark.parametrize("n", (6, 7, 8))
+@pytest.mark.parametrize("pred", TABLE_PREDS, ids=lambda p: p.name)
+def test_table_blocks_match_the_kernel_on_sampled_masks(pred, n):
+    rng = random.Random(f"{pred.name}-{n}")
+    slots = edge_slots(n)
+    for _ in range(6):
+        width = rng.randint(0, 12)
+        block = rng.randrange(1 << slots - width)
+        table = pred.table(n, block, width)
+        assert table >> (1 << width) == 0
+        for i in rng.sample(range(1 << width), min(40, 1 << width)):
+            assert table >> i & 1 == pred.test_mask(n, block << width | i), \
+                (width, block, i)
+
+
+def test_table_counts_labeled_graphs():
+    # labeled connected, 2- and 3-connected graphs on 6 vertices
+    assert P.CONNECTED.table(6).bit_count() == 26_704
+    assert P.TWO_CONNECTED.table(6).bit_count() == 11_368
+    assert P.THREE_CONNECTED.table(6).bit_count() == 1_768
+
+
+def test_table_domain_checks():
+    with pytest.raises(DomainError, match="at least 3 vertices"):
+        P.HAMCYCLE.table(2)
+    with pytest.raises(CapabilityError, match="Hamiltonicity cap 16"):
+        P.HAMPATH.table(17, 0, 0)
+    for block, width in ((0, 4), (2, 2), (-1, 2), (0, -1)):
+        with pytest.raises(DomainError, match="no block"):
+            P.CONNECTED.table(3, block, width)
+
+
+def test_slot_columns_mark_the_masks_with_each_bit_set():
+    for width in range(11):
+        assert slot_columns(width) == tuple(
+            sum(1 << i for i in range(1 << width) if i >> e & 1)
+            for e in range(width))

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 
 import pytest
@@ -82,6 +81,32 @@ def test_explored_counts_expanded_nodes_only():
     assert S.max_linear_family(5, P.K3, budget_nodes=10).explored == 10
 
 
+def test_bulk_spend_counts_as_single_steps():
+    def outcome(budget, steps):
+        try:
+            steps(budget)
+        except S._BudgetExhausted:
+            return True, budget.nodes
+        return False, budget.nodes
+
+    def single(count):
+        def steps(budget):
+            for _ in range(count):
+                budget.spend()
+        return steps
+
+    for limit, time_ms in ((0, None), (5, None), (1024, None), (3000, None),
+                           (None, 0)):
+        for start, count in ((0, 1), (0, 1500), (1000, 50), (1023, 1),
+                             (1024, 1), (2047, 2000)):
+            sides = []
+            for steps in (single(count), lambda b: b.spend(count)):
+                budget = S._Budget(limit, time_ms)
+                budget.nodes = start if limit is None else min(start, limit)
+                sides.append(outcome(budget, steps))
+            assert sides[0] == sides[1], (limit, time_ms, start, count)
+
+
 def test_max_linear_small():
     r = S.max_linear_family(3, P.K3)
     assert (r.rank, r.optimum, r.status) == (1, 2, "exact")
@@ -127,19 +152,48 @@ def test_linear_rank_bound_table():
 
 
 def test_linear_search_answers_classified_masks_from_its_cache(monkeypatch):
-    calls = collections.Counter()
-    kernel = P.Predicate.test_mask
+    # every search classifies masks from the predicate's truth table, so the
+    # per-mask kernel is never called (the linear search at n=6 made 39,051
+    # calls on 20,543 masks when it classified them one at a time)
+    def refuse(self, n, bits):
+        raise AssertionError("test_mask called")
 
-    def counting(self, n, bits):
-        calls[bits] += 1
-        return kernel(self, n, bits)
-
-    monkeypatch.setattr(P.Predicate, "test_mask", counting)
+    monkeypatch.setattr(P.Predicate, "test_mask", refuse)
     r = S.max_linear_family(6, P.CONNECTED)
     assert (r.rank, r.optimum, r.status, r.explored) == (5, 32, "exact", 30_433)
-    # 83,269 calls on the same masks (and the empty graph, met when g lies
-    # in the span) when every member of span + g went to the kernel
-    assert (sum(calls.values()), len(calls)) == (39_051, 20_543)
+    assert S.max_good_family(4, P.HAMPATH).status == "exact"
+    assert S.max_dual_family(4, P.STAR).status == "exact"
+
+
+K3_N5_RANK3 = [0, 7, 57, 62, 450, 453, 507, 508]
+
+
+@pytest.mark.parametrize("limit, connected_masks, k3_masks", (
+    (1, [0], [0]),
+    (10, [0], [0, 7]),
+    (1_000, [0], K3_N5_RANK3),
+    (20_000, [0, 1099, 2197, 3294, 4390, 5485, 6579, 7672, 8760, 9843,
+              10925, 12006, 13086, 14165, 15243, 16320], K3_N5_RANK3),
+))
+def test_budgeted_linear_search_stops_at_its_limit(limit, connected_masks,
+                                                   k3_masks):
+    # the scan spends one node per probed mask, a block at a time, and
+    # stops at exactly the limit; values as when it probed mask by mask
+    for n, pred, masks in ((6, P.CONNECTED, connected_masks),
+                           (5, P.K3, k3_masks)):
+        r = S.max_linear_family(n, pred, budget_nodes=limit)
+        assert (r.explored, r.status, r.certificate.masks()) == \
+            (limit, "timeout", masks)
+
+
+def test_phase_seconds_cover_each_search_phase():
+    r = S.max_good_family(4, P.CONNECTED)
+    assert list(r.phase_seconds) == ["classify", "adjacency", "clique"]
+    r = S.max_dual_family(3, P.K3)
+    assert list(r.phase_seconds) == ["classify", "adjacency", "clique"]
+    r = S.max_linear_family(5, P.CONNECTED)
+    assert list(r.phase_seconds) == ["classify", "basis"]
+    assert all(t >= 0 for t in r.phase_seconds.values())
 
 
 def test_linear_search_refuses_a_basis_vector_inside_the_span():
@@ -297,10 +351,10 @@ def test_wrong_theorem_row_is_an_internal_error(monkeypatch):
 
 @pytest.mark.slow
 def test_linear_3conn_n7_matches_hamming_rank():
-    # ~25 seconds single-core: scans the 2^21 masks for 3-connected
-    # candidates and stops at the proven rank cap
+    # ~5 seconds single-core: classifies the 2^21 masks in 32 truth-table
+    # blocks, then grows bases up to the proven rank cap
     result = S.max_linear_family(7, P.THREE_CONNECTED)
-    assert result.status == "exact"
+    assert (result.status, result.explored) == ("exact", 5_504_134)
     assert result.rank == 3
     assert result.optimum == 8
     assert verify_family(result.certificate, P.THREE_CONNECTED).passed
