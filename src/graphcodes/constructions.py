@@ -20,6 +20,7 @@ from .core import (
     edge_slots,
     empty_graph,
     graph_from_edges,
+    two_coloring,
 )
 from .errors import CapabilityError, DomainError, UnsupportedParameterError
 from .factorization import starter_factorization, verify_p1f
@@ -145,19 +146,6 @@ def hamming_minimum_distance(k: int) -> int:
     return min(w.bit_count() for w in gray_span(gf2_reduced_basis(basis))[1:])
 
 
-def _cut_graph_from_word(n: int, word: int) -> LabeledGraph:
-    """Complete bipartite graph between the 0-positions and 1-positions."""
-    bits = 0
-    idx = 0
-    for j in range(1, n):
-        cj = word >> j & 1
-        for i in range(j):
-            if (word >> i & 1) != cj:
-                bits |= 1 << idx
-            idx += 1
-    return LabeledGraph(n, bits)
-
-
 def hamming_bipartite_family(k: int) -> LinearFamily:
     """Cut graphs of Hamming codewords on n = 2^k - 1 vertices.
 
@@ -165,9 +153,12 @@ def hamming_bipartite_family(k: int) -> LinearFamily:
     all-ones word is a codeword, the images of a codeword basis span a
     family of rank n-k-1 whose 2^(n-k-1) - 1 nonzero members are complete
     bipartite graphs with both classes of size >= 3, hence 3-connected.
+    The cut graph of a word (its 1-positions against its 0-positions) is
+    the complement of the split-clique graph on that side.
     """
     n, basis = hamming_code(k)
-    return LinearFamily(n, tuple(_cut_graph_from_word(n, w) for w in basis))
+    return LinearFamily(n, tuple(
+        LabeledGraph(n, _split_clique_mask(n, w)).complement() for w in basis))
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +211,6 @@ def ham_path_family(p: int) -> LinearFamily:
 # spanning-star family
 
 
-def _component_a_mask(m: int, adj: list[int]) -> int:
-    """Two-color a bipartite graph; per component the minimum-index vertex
-    lands in class A.  Returns the bitmask of class A."""
-    color = [-1] * m
-    a_mask = 0
-    for s in range(m):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        a_mask |= 1 << s
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            nxt = adj[v]
-            while nxt:
-                lowbit = nxt & -nxt
-                u = lowbit.bit_length() - 1
-                nxt ^= lowbit
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    if color[u] == 0:
-                        a_mask |= lowbit
-                    stack.append(u)
-        # unions of matchings are bipartite, so no conflict check is needed
-    return a_mask
-
-
 def star_family(n: int) -> GraphFamily:
     """A family of n+1 (odd n) or n (even n) graphs any two of which differ
     in a graph with a full-degree vertex.
@@ -283,7 +247,8 @@ def star_family(n: int) -> GraphFamily:
                 union = mats[i - 1] ^ mats[j - 1]
             else:
                 union = mats[i - 1]
-            a_mask = _component_a_mask(m, union.adjacency())
+            # unions of matchings are bipartite, so the coloring exists
+            a_mask = two_coloring(union.adjacency())
             slot = edge_index(i, j, n)
             for k in range(members):
                 if a_mask >> k & 1:

@@ -100,6 +100,36 @@ def adjacency_masks(n: int, bits: int) -> list[int]:
     return adj
 
 
+def two_coloring(adj: list[int]) -> int | None:
+    """The color-0 class of the proper 2-coloring that gives the lowest
+    vertex of each component color 0, as a vertex mask; None when the graph
+    (given by its neighbor masks) has an odd cycle.
+
+    Each component is walked in BFS layers from its lowest vertex, and the
+    even layers form the class.  Edges join equal or adjacent layers, so
+    the coloring is proper iff no edge lies inside a layer."""
+    unseen = (1 << len(adj)) - 1
+    even = 0
+    while unseen:
+        layer = unseen & -unseen
+        parity = 0
+        while layer:
+            unseen ^= layer
+            if not parity:
+                even |= layer
+            nxt = 0
+            m = layer
+            while m:
+                low = m & -m
+                nxt |= adj[low.bit_length() - 1]
+                m ^= low
+            if nxt & layer:
+                return None
+            layer = nxt & unseen
+            parity ^= 1
+    return even
+
+
 @dataclass(frozen=True, slots=True)
 class LabeledGraph:
     """Graph on vertex set {1..n}; bit k of ``bits`` is edge slot k."""

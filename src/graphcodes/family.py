@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import LabeledGraph, edge_slots
+from .core import LabeledGraph, edge_slots, vertex_limit
 from .errors import CapabilityError, DomainError
 
 FORMAT_VERSION = 1
@@ -173,6 +173,10 @@ def load_family(path) -> LoadedFamily:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError("bad vertex count in family file")
+    if n > vertex_limit():
+        raise CapabilityError(
+            f"{path}: n={n} exceeds the configured vertex limit {vertex_limit()}"
+        )
     if not isinstance(doc["graphs"], list):
         raise DomainError(f"{path}: 'graphs' must be a list of hex strings")
     role = doc.get("role")

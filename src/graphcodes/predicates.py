@@ -18,6 +18,7 @@ from .core import (
     adjacency_masks,
     complete_graph,
     edge_slots,
+    two_coloring,
 )
 from .errors import CapabilityError, DomainError
 
@@ -40,26 +41,29 @@ def set_hamiltonian_cap(limit: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# connectivity
+# reachability and k-connectivity (the reach BFS also prunes Hamiltonicity)
 
 
-def _connected_from_adj(adj: list[int], full: int) -> bool:
-    reached = 1
-    frontier = 1
-    while frontier:
+def _reach(adj: list[int], seed: int, within: int) -> int:
+    """The closure of the vertex mask ``seed`` (a subset of ``within``) under
+    adjacency inside ``within``, by a frontier BFS; it stops as soon as the
+    closure is all of ``within``."""
+    reach = frontier = seed
+    while frontier and reach != within:
         nxt = 0
         m = frontier
         while m:
             low = m & -m
             nxt |= adj[low.bit_length() - 1]
             m ^= low
-        frontier = nxt & ~reached
-        reached |= frontier
-    return reached == full
+        frontier = nxt & within & ~reach
+        reach |= frontier
+    return reach
 
 
 def _connected_mask(n: int, bits: int) -> bool:
-    return _connected_from_adj(adjacency_masks(n, bits), (1 << n) - 1)
+    full = (1 << n) - 1
+    return _reach(adjacency_masks(n, bits), 1, full) == full
 
 
 def _biconnected_from_adj(n: int, adj: list[int], keep: int | None = None) -> bool:
@@ -241,51 +245,37 @@ def _is_k_connected_mask(n: int, bits: int, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonicity (exact backtracking with reachability pruning)
+# Hamiltonian paths and cycles (one backtrack with a path/cycle switch)
 
 
-def _ham_reach_ok(adj: list[int], cur: int, unvisited: int) -> bool:
-    reach = adj[cur] & unvisited
-    if reach != unvisited:
-        if not reach:
+def _hamiltonian_mask(n: int, bits: int, cycle: bool) -> bool:
+    """A Hamiltonian cycle (``cycle``) or path, by backtracking.  A path may
+    start anywhere; a cycle starts at vertex 0 and closes back to it, after
+    a minimum-degree-2 filter, and prunes a branch in which some unvisited
+    vertex has fewer than two usable neighbours.  Both prune a branch whose
+    unvisited vertices are not all reachable from the current end."""
+    adj = adjacency_masks(n, bits)
+    full = (1 << n) - 1
+    if cycle and any(a.bit_count() < 2 for a in adj):
+        return False
+    if _reach(adj, 1, full) != full:
+        return False
+
+    def rec(cur: int, visited: int) -> bool:
+        if visited == full:
+            return not cycle or bool(adj[cur] & 1)
+        unvisited = full & ~visited
+        cand = adj[cur] & unvisited
+        if _reach(adj, cand, unvisited) != unvisited:
             return False
-        frontier = reach
-        while frontier:
-            nxt = 0
-            m = frontier
+        if cycle:
+            avail = unvisited | (1 << cur) | 1
+            m = unvisited
             while m:
                 lowbit = m & -m
-                nxt |= adj[lowbit.bit_length() - 1]
+                if (adj[lowbit.bit_length() - 1] & avail).bit_count() < 2:
+                    return False
                 m ^= lowbit
-            frontier = nxt & unvisited & ~reach
-            reach |= frontier
-        if reach != unvisited:
-            return False
-    return True
-
-
-def _ham_cycle_mask(n: int, bits: int) -> bool:
-    adj = adjacency_masks(n, bits)
-    full = (1 << n) - 1
-    if any(a.bit_count() < 2 for a in adj):
-        return False
-    if not _connected_from_adj(adj, full):
-        return False
-
-    def rec(cur: int, visited: int) -> bool:
-        if visited == full:
-            return bool(adj[cur] & 1)
-        unvisited = full & ~visited
-        if not _ham_reach_ok(adj, cur, unvisited):
-            return False
-        avail = unvisited | (1 << cur) | 1
-        m = unvisited
-        while m:
-            lowbit = m & -m
-            if (adj[lowbit.bit_length() - 1] & avail).bit_count() < 2:
-                return False
-            m ^= lowbit
-        cand = adj[cur] & unvisited
         while cand:
             lowbit = cand & -cand
             if rec(lowbit.bit_length() - 1, visited | lowbit):
@@ -293,36 +283,13 @@ def _ham_cycle_mask(n: int, bits: int) -> bool:
             cand ^= lowbit
         return False
 
-    return rec(0, 1)
-
-
-def _ham_path_mask(n: int, bits: int) -> bool:
-    adj = adjacency_masks(n, bits)
-    full = (1 << n) - 1
-    if not _connected_from_adj(adj, full):
-        return False
-    if n <= 2:
-        return True
-
-    def rec(cur: int, visited: int) -> bool:
-        if visited == full:
-            return True
-        unvisited = full & ~visited
-        if not _ham_reach_ok(adj, cur, unvisited):
-            return False
-        cand = adj[cur] & unvisited
-        while cand:
-            lowbit = cand & -cand
-            if rec(lowbit.bit_length() - 1, visited | lowbit):
-                return True
-            cand ^= lowbit
-        return False
-
+    if cycle:
+        return rec(0, 1)
     return any(rec(s, 1 << s) for s in range(n))
 
 
 # ---------------------------------------------------------------------------
-# spanning star, subgraph containment, odd cycles
+# spanning star, subgraph containment, odd cycles (core's 2-coloring)
 
 
 def _spanning_star_mask(n: int, bits: int) -> bool:
@@ -383,26 +350,7 @@ def _contains_mask(n: int, bits: int, pn: int, pbits: int, induced: bool) -> boo
 
 def _odd_cycle_mask(n: int, bits: int) -> bool:
     """True iff some component is not two-colorable."""
-    adj = adjacency_masks(n, bits)
-    color = [-1] * n
-    for s in range(n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            m = adj[v]
-            while m:
-                lowbit = m & -m
-                u = lowbit.bit_length() - 1
-                m ^= lowbit
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    dq.append(u)
-                elif color[u] == color[v]:
-                    return True
-    return False
+    return two_coloring(adjacency_masks(n, bits)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +438,11 @@ _KINDS: dict[str, _Kind] = {
         lambda b, p, n, e, ones: b.k_connected(n, e, ones, p.k)),
     "hampath": _Kind(
         2, "a Hamiltonian path needs at least 2 vertices", True,
-        lambda p, n, bits: _ham_path_mask(n, bits),
+        lambda p, n, bits: _hamiltonian_mask(n, bits, False),
         lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, False)),
     "hamcycle": _Kind(
         3, "a Hamiltonian cycle needs at least 3 vertices", True,
-        lambda p, n, bits: _ham_cycle_mask(n, bits),
+        lambda p, n, bits: _hamiltonian_mask(n, bits, True),
         lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, True)),
     "star": _Kind(
         2, "a spanning star needs at least 2 vertices", False,

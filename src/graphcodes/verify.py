@@ -76,7 +76,10 @@ def _scan_pairs(
 
     ``diffs`` is every nonzero pairwise difference of ``masks`` or None when
     that set is not known; each one is tested once, and if all pass the
-    family passes.  Otherwise the lexicographic pair scan finds the witness."""
+    family passes.  Otherwise the lexicographic pair scan finds the witness.
+    n is checked against the predicate's domain first, so a scan that tests
+    nothing (a rank-0 span) cannot pass outside it."""
+    pred._domain(n)
     test = pred.test_mask
     verdicts: dict[int, bool] = {}
     calls = 0

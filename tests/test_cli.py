@@ -298,6 +298,32 @@ def _family_doc(**changes):
     return {k: v for k, v in doc.items() if v is not None}
 
 
+@pytest.mark.parametrize("pred, n, message", (
+    ("connected", 1, "error: connectivity needs at least 2 vertices\n"),
+    ("hamcycle", 1, "error: a Hamiltonian cycle needs at least 3 vertices\n"),
+    ("connected", 1000, "exceeds the configured vertex limit 64\n"),
+    ("hamcycle", 1000, "exceeds the configured vertex limit 64\n"),
+    ("hamcycle", 20, "exceeds the Hamiltonicity cap 16; "
+                     "raise it with set_hamiltonian_cap\n"),
+), ids=("connected-1", "hamcycle-1", "connected-1000", "hamcycle-1000",
+        "hamcycle-20"))
+def test_verify_checks_the_domain_of_an_empty_span(tmp_path, capsys, pred, n,
+                                                   message):
+    # a basis with no nonzero generator tests no member, so the verdict used
+    # to be "PASS [linear] checked 0 members" with exit 0 outside the domain
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_family_doc(n=n, graphs=[], role="basis")))
+    assert run("verify", "--pred", pred, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith(message)
+    # inside the domain the same empty span passes
+    path.write_text(json.dumps(_family_doc(n=5, graphs=[], role="basis")))
+    assert run("verify", "--pred", pred, str(path)) == 0
+    assert capsys.readouterr().out == "PASS [linear] checked 0 members\n"
+
+
 def test_verify_json_reports_method_and_calls(tmp_path, capsys):
     out = tmp_path / "sc5.json"
     assert run("build", "--family", "split-clique", "--n", "5",
@@ -421,6 +447,21 @@ SUBSET_FAMILY_FILES = {
         "38e432449577dee606733e831574cc6da829550bf48292398df0c916037d1467"),
 }
 
+# the families built with the core 2-coloring (star) and split-clique
+# complements (hamming-3conn)
+COLORING_FAMILY_FILES = {
+    ("star", "5"):
+        "7e655fdf7872276059b88e6ad9edcfba0ac19d204481c9dd5cfc3a390eafa134",
+    ("star", "6"):
+        "39f9fe6d79bc10e1e0feacebee777f836245e2367c3a8a376f153735a35a8eb6",
+    ("star", "9"):
+        "2cb8180af87c199dd4281e017825882a3884156d370e9d128b71906979a5eddc",
+    ("star", "10"):
+        "cc7b2bcd4a00ff8856e3516d02d569fcaf5b1bd21247f152085e8cf81b51b1b7",
+    ("hamming-3conn", "3"):
+        "9aaaa48e5e0b6f5c46ec394a30a5425a5bcb904aee6fc8c3848b27db782b7d37",
+}
+
 
 @pytest.mark.parametrize("family", sorted(SUBSET_FAMILY_FILES))
 def test_subset_family_files_are_pinned(tmp_path, capsys, family):
@@ -431,4 +472,14 @@ def test_subset_family_files_are_pinned(tmp_path, capsys, family):
     argv = [p.format(host=host) for p in params]
     assert run("build", "--family", family, *argv, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("family, value", sorted(COLORING_FAMILY_FILES))
+def test_coloring_family_files_are_pinned(tmp_path, capsys, family, value):
+    flag = "--k" if family == "hamming-3conn" else "--n"
+    out = tmp_path / "fam.json"
+    assert run("build", "--family", family, flag, value, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        COLORING_FAMILY_FILES[family, value]
     capsys.readouterr()

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphcodes import (
+    CapabilityError,
     DomainError,
     LabeledGraph,
     complete_bipartite_graph,
@@ -19,7 +20,7 @@ from graphcodes import (
     save_family,
     load_family,
 )
-from graphcodes.core import adjacency_masks
+from graphcodes.core import adjacency_masks, two_coloring
 from graphcodes.family import family_to_json
 
 
@@ -183,3 +184,48 @@ def test_family_file_validates_header(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DomainError):
         load_family(path)
+
+
+def test_family_file_n_past_the_vertex_limit(tmp_path):
+    # checked before any graph entry is read, so an empty list cannot hide it
+    path = tmp_path / "big.json"
+    doc = {"version": 1, "n": 65, "edge_order": "colex-1based", "graphs": []}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CapabilityError, match="vertex limit 64"):
+        load_family(path)
+    doc["n"] = 64
+    path.write_text(json.dumps(doc))
+    assert load_family(path).n == 64
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << edge_slots(n)) - 1))))
+def test_two_coloring_is_the_anchored_proper_coloring(case):
+    n, bits = case
+    adj = adjacency_masks(n, bits)
+    even = two_coloring(adj)
+    bipartite = any(
+        all(bool(c >> u & 1) != bool(c >> v & 1)
+            for v in range(n) for u in range(v) if adj[v] >> u & 1)
+        for c in range(1 << n))
+    assert (even is not None) == bipartite
+    if even is None:
+        return
+    for v in range(n):
+        # every edge crosses the classes, and the lowest vertex of each
+        # component (no lower vertex reaches it) lies in class 0
+        side = even if even >> v & 1 else ~even
+        assert not adj[v] & side
+    seen = 0
+    for v in range(n):
+        if not seen >> v & 1:
+            assert even >> v & 1
+            comp = frontier = 1 << v
+            while frontier:
+                nxt = 0
+                for u in range(n):
+                    if frontier >> u & 1:
+                        nxt |= adj[u]
+                frontier = nxt & ~comp
+                comp |= frontier
+            seen |= comp

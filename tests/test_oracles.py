@@ -26,7 +26,7 @@ def applicable(pred, n):
     return True
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_oracle_agreement_exhaustive_small(n):
     for bits in range(1 << (n * (n - 1) // 2)):
         g = LabeledGraph(n, bits)
