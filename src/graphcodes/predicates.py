@@ -250,10 +250,11 @@ def _is_k_connected_mask(n: int, bits: int, k: int) -> bool:
 
 def _hamiltonian_mask(n: int, bits: int, cycle: bool) -> bool:
     """A Hamiltonian cycle (``cycle``) or path, by backtracking.  A path may
-    start anywhere; a cycle starts at vertex 0 and closes back to it, after
-    a minimum-degree-2 filter, and prunes a branch in which some unvisited
-    vertex has fewer than two usable neighbours.  Both prune a branch whose
-    unvisited vertices are not all reachable from the current end."""
+    start at any vertex.  A cycle starts at vertex 0 and must close back to
+    it; it also filters on minimum degree 2 and prunes a branch that leaves
+    an unvisited vertex fewer than two usable neighbours.  Both prune a
+    branch whose unvisited vertices are not all reachable from the current
+    end."""
     adj = adjacency_masks(n, bits)
     full = (1 << n) - 1
     if cycle and any(a.bit_count() < 2 for a in adj):
