@@ -1,6 +1,8 @@
 """Predicates as Boolean formulas over bit columns (bit-slicing).
 
-Mask i of a block of 2^width masks is bit i of a big int.  Column e of the
+Mask i of a block of 2^width masks is bit i of a big int.  The masks are
+the whole mask space in order, or the members of a GF(2) span in the order
+of their coefficients over its basis rows.  Column e of the
 block is the bitset of its masks that hold edge slot e, and the edge matrix
 holds, for each vertex pair, the column of its slot.  A formula combines
 these columns with AND, OR and complement and returns the bitset of the
@@ -19,6 +21,10 @@ from itertools import combinations, permutations
 from .core import LabeledGraph, edge_slots
 from .errors import DomainError
 
+# masks are decided in blocks of 2^BLOCK_WIDTH (8 KiB per column), so that
+# neither a search at n = 8 nor a span of rank 26 holds a whole table
+BLOCK_WIDTH = 16
+
 
 @lru_cache(maxsize=None)
 def slot_columns(width: int) -> tuple[int, ...]:
@@ -35,24 +41,42 @@ def slot_columns(width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def edge_matrix(n: int, block: int, width: int) -> tuple[list[list[int]], int]:
-    """(e, ones) for the masks ``block << width | i``, i < 2^width: e[u][v] is
-    the bitset of those masks that hold edge {u+1, v+1} (e[v][v] is 0), and
-    ``ones`` is the whole block.  Slot s < width gives the column of the
-    masks with bit s set; slot s >= width gives all ones or 0, as bit
-    s - width of ``block`` says."""
+def edge_matrix(n: int, block: int, width: int,
+                rows=None) -> tuple[list[list[int]], int]:
+    """(e, ones) for the 2^width masks of block ``block``: mask i of the
+    block is the XOR of ``rows`` at the set bits of ``block << width | i``,
+    e[u][v] is the bitset of the masks that hold edge {u+1, v+1} (e[v][v] is
+    0), and ``ones`` is the whole block.  The column of slot s is the XOR of
+    ``slot_columns(width)[j]`` over the rows j < width that hold s,
+    complemented when an odd number of the rows j >= width that ``block``
+    selects hold s.  ``rows`` defaults to the unit rows of the C(n, 2)
+    slots, so that mask i is ``block << width | i``."""
     slots = edge_slots(n)
-    if not 0 <= width <= slots or not 0 <= block < 1 << slots - width:
+    if rows is None:
+        rows = [1 << s for s in range(slots)]
+    if any(row >> slots for row in rows):
+        raise DomainError(f"a row holds a slot past the {slots} of n={n}")
+    if not 0 <= width <= len(rows) or not 0 <= block < 1 << len(rows) - width:
         raise DomainError(
-            f"no block {block} of width {width} among {slots} edge slots")
+            f"no block {block} of width {width} among {len(rows)} rows")
     cols = slot_columns(width)
     ones = (1 << (1 << width)) - 1
+    fixed = 0
+    for j in range(width, len(rows)):
+        if block >> j - width & 1:
+            fixed ^= rows[j]
+    col = [ones if fixed >> s & 1 else 0 for s in range(slots)]
+    for j in range(width):
+        m = rows[j]
+        while m:
+            low = m & -m
+            col[low.bit_length() - 1] ^= cols[j]
+            m ^= low
     e = [[0] * n for _ in range(n)]
     s = 0
     for v in range(1, n):
         for u in range(v):
-            x = cols[s] if s < width else ones if block >> s - width & 1 else 0
-            e[u][v] = e[v][u] = x
+            e[u][v] = e[v][u] = col[s]
             s += 1
     return e, ones
 

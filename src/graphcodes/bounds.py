@@ -327,6 +327,8 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
             "product bound via dual-isolated",
         )
     if pred_name == "hamcycle":
+        if n < 3:  # the predicate's own domain
+            raise DomainError("a Hamiltonian cycle needs at least 3 vertices")
         built = n % 2 == 0 and _is_prime(n - 1)
         lower, source = (_pow2(n - 2), "hamcycle") if built else (None, None)
         return BoundReport(

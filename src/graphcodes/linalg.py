@@ -1,8 +1,9 @@
 """GF(2) linear algebra on edge-space bit vectors.
 
 Families closed under symmetric difference are subspaces of GF(2)^C(n,2);
-this module computes ranks, reduced bases (pivot on the lowest set slot),
-span membership, and deterministic span enumeration.
+this module computes ranks, reduced bases (pivot on the lowest or on the
+highest set slot), span membership, and deterministic span enumeration: in
+Gray-code order, or ascending from the highest-pivot basis.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ from .family import GraphFamily
 SPAN_RANK_BUDGET = 26
 
 
-def gf2_reduced_basis(masks) -> list[int]:
-    """Reduced row-echelon basis of the span, rows sorted by pivot slot."""
+def _reduced_rows(masks, pivot) -> list[int]:
+    """Reduced row-echelon basis of the span, pivoting on the slot that
+    ``pivot`` picks from each row, rows sorted by pivot slot; every pivot
+    slot is set in its own row only."""
     pivots: dict[int, int] = {}
     for mask in masks:
         cur = mask
         while cur:
-            p = (cur & -cur).bit_length() - 1
+            p = pivot(cur)
             if p in pivots:
                 cur ^= pivots[p]
             else:
@@ -37,22 +40,37 @@ def gf2_reduced_basis(masks) -> list[int]:
     return [pivots[p] for p in sorted(pivots)]
 
 
+def gf2_reduced_basis(masks) -> list[int]:
+    """Reduced basis of the span pivoting on each row's lowest set slot,
+    rows sorted by pivot slot."""
+    return _reduced_rows(masks, lambda x: (x & -x).bit_length() - 1)
+
+
+def gf2_ordered_basis(masks) -> list[int]:
+    """Reduced basis of the span pivoting on each row's highest set slot,
+    rows in ascending pivot order.  Member i of the sorted span is the XOR
+    of the rows at the set bits of i (``ordered_span``): where the
+    coefficients of two members first differ from the top, at row j, only
+    row j holds its pivot slot and every higher slot is equal, so the
+    member with bit j set is the larger."""
+    return _reduced_rows(masks, lambda x: x.bit_length() - 1)
+
+
 def gf2_rank(masks) -> int:
     return len(gf2_reduced_basis(masks))
 
 
-def gf2_reduce(mask: int, reduced_rows) -> int:
-    """Residue of mask after elimination against a reduced basis."""
+def gf2_reduce(mask: int, ordered_rows) -> int:
+    """Residue of mask after elimination against a ``gf2_ordered_basis``."""
     cur = mask
-    for row in reduced_rows:
-        p = row & -row
-        if cur & p:
+    for row in ordered_rows:
+        if cur >> row.bit_length() - 1 & 1:
             cur ^= row
     return cur
 
 
-def gf2_in_span(mask: int, reduced_rows) -> bool:
-    return gf2_reduce(mask, reduced_rows) == 0
+def gf2_in_span(mask: int, ordered_rows) -> bool:
+    return gf2_reduce(mask, ordered_rows) == 0
 
 
 def gray_span(rows) -> list[int]:
@@ -63,6 +81,16 @@ def gray_span(rows) -> list[int]:
     for i in range(1, len(vals)):
         cur ^= rows[(i & -i).bit_length() - 1]
         vals[i] = cur
+    return vals
+
+
+def ordered_span(rows) -> list[int]:
+    """All 2^len(rows) elements of the span of independent rows, element i
+    the XOR of the rows at the set bits of i: ascending when the rows are a
+    ``gf2_ordered_basis``."""
+    vals = [0]
+    for row in rows:
+        vals += [v ^ row for v in vals]
     return vals
 
 
@@ -79,7 +107,9 @@ class LinearFamily:
     basis: tuple[LabeledGraph, ...]
     rank: int = field(init=False)
     redundant: bool = field(init=False)
-    _reduced: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the span's gf2_ordered_basis: member i of the sorted span is the XOR
+    # of the rows at the set bits of i
+    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -88,26 +118,30 @@ class LinearFamily:
                 raise DomainError(
                     f"generator on {g.n} vertices in a family on {self.n}"
                 )
-        reduced = gf2_reduced_basis(g.bits for g in self.basis)
-        object.__setattr__(self, "_reduced", tuple(reduced))
-        object.__setattr__(self, "rank", len(reduced))
-        object.__setattr__(self, "redundant", len(self.basis) > len(reduced))
+        rows = gf2_ordered_basis(g.bits for g in self.basis)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rank", len(rows))
+        object.__setattr__(self, "redundant", len(self.basis) > len(rows))
 
     @property
     def span_size(self) -> int:
         return 1 << self.rank
 
     def contains(self, g: LabeledGraph) -> bool:
-        return g.n == self.n and gf2_in_span(g.bits, self._reduced)
+        return g.n == self.n and gf2_in_span(g.bits, self.rows)
 
-    def span_masks(self) -> list[int]:
-        """All 2^rank span elements as masks, ascending."""
+    def check_span_budget(self) -> None:
+        """Refuse a span past the enumeration budget."""
         if self.rank > SPAN_RANK_BUDGET:
             raise CapabilityError(
                 f"rank {self.rank} exceeds the enumeration budget "
                 f"{SPAN_RANK_BUDGET}"
             )
-        return sorted(gray_span(self._reduced))
+
+    def span_masks(self) -> list[int]:
+        """All 2^rank span elements as masks, ascending."""
+        self.check_span_budget()
+        return ordered_span(self.rows)
 
     def enumerate_span(self, provenance: dict | None = None) -> GraphFamily:
         """The span as an explicit family, deduplicated, ascending edge order."""

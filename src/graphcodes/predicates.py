@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from math import comb, perm
 from typing import NamedTuple
 
 from .core import (
@@ -424,6 +425,8 @@ class _Kind(NamedTuple):
     # (bitslice module, predicate, n, edge matrix, ones) -> truth table; the
     # module comes in as an argument because it is imported on first use
     table: Callable[..., int]
+    # (predicate, n) -> an estimate of the big-int operations of one table
+    ops: Callable[[Predicate, int], int]
 
 
 _CONNECTIVITY_MIN = "connectivity needs at least 2 vertices"
@@ -432,37 +435,45 @@ _KINDS: dict[str, _Kind] = {
     "connected": _Kind(
         2, _CONNECTIVITY_MIN, False,
         lambda p, n, bits: _connected_mask(n, bits),
-        lambda b, p, n, e, ones: b.reach(n, e, ones, (1 << n) - 1)),
+        lambda b, p, n, e, ones: b.reach(n, e, ones, (1 << n) - 1),
+        lambda p, n: n * n),
     "kconn": _Kind(
         2, _CONNECTIVITY_MIN, False,
         lambda p, n, bits: _is_k_connected_mask(n, bits, p.k),
-        lambda b, p, n, e, ones: b.k_connected(n, e, ones, p.k)),
+        lambda b, p, n, e, ones: b.k_connected(n, e, ones, p.k),
+        lambda p, n: sum(comb(n, s) for s in range(p.k)) * n * n),
     "hampath": _Kind(
         2, "a Hamiltonian path needs at least 2 vertices", True,
         lambda p, n, bits: _hamiltonian_mask(n, bits, False),
-        lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, False)),
+        lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, False),
+        lambda p, n: (1 << n) * n * n),
     "hamcycle": _Kind(
         3, "a Hamiltonian cycle needs at least 3 vertices", True,
         lambda p, n, bits: _hamiltonian_mask(n, bits, True),
-        lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, True)),
+        lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, True),
+        lambda p, n: (1 << n) * n * n),
     "star": _Kind(
         2, "a spanning star needs at least 2 vertices", False,
         lambda p, n, bits: _spanning_star_mask(n, bits),
-        lambda b, p, n, e, ones: b.star(n, e, ones)),
+        lambda b, p, n, e, ones: b.star(n, e, ones),
+        lambda p, n: n * n),
     "contains": _Kind(
         0, "", False,
         lambda p, n, bits: _contains_mask(
             n, bits, p.pattern.n, p.pattern.bits, False),
-        lambda b, p, n, e, ones: b.contains(n, e, ones, p.pattern, False)),
+        lambda b, p, n, e, ones: b.contains(n, e, ones, p.pattern, False),
+        lambda p, n: perm(n, p.pattern.n) * p.pattern.bits.bit_count()),
     "contains-induced": _Kind(
         0, "", False,
         lambda p, n, bits: _contains_mask(
             n, bits, p.pattern.n, p.pattern.bits, True),
-        lambda b, p, n, e, ones: b.contains(n, e, ones, p.pattern, True)),
+        lambda b, p, n, e, ones: b.contains(n, e, ones, p.pattern, True),
+        lambda p, n: perm(n, p.pattern.n) * comb(p.pattern.n, 2)),
     "oddcycle": _Kind(
         0, "", False,
         lambda p, n, bits: _odd_cycle_mask(n, bits),
-        lambda b, p, n, e, ones: b.odd_cycle(n, e, ones)),
+        lambda b, p, n, e, ones: b.odd_cycle(n, e, ones),
+        lambda p, n: (1 << n) * n // 2),
 }
 
 
@@ -495,18 +506,22 @@ class Predicate:
     def test_mask(self, n: int, bits: int) -> bool:
         return self._domain(n).kernel(self, n, bits)
 
-    def table(self, n: int, block: int = 0, width: int | None = None) -> int:
+    def table(self, n: int, block: int = 0, width: int | None = None,
+              basis=None) -> int:
         """The verdicts on 2^width masks as one bitset: bit i is the verdict
-        on mask ``block << width | i``.  ``width`` defaults to C(n, 2), the
-        whole truth table.  Slot e < width is the bit column of the masks
-        with bit e set, and slot e >= width is all ones or 0, as bit
-        e - width of ``block`` says; the predicate's formula over these
-        columns (``bitslice``) answers the whole block at once."""
+        on the XOR of the ``basis`` rows at the set bits of
+        ``block << width | i``.  ``basis`` defaults to the unit rows of the
+        C(n, 2) slots, the whole mask space, so that bit i is the verdict on
+        mask ``block << width | i``, and ``width`` defaults to the number of
+        rows, the whole truth table.  The predicate's formula over the bit
+        columns of the block's edges (``bitslice.edge_matrix``) answers the
+        whole block at once."""
         kind = self._domain(n)
         from . import bitslice
 
-        e, ones = bitslice.edge_matrix(
-            n, block, edge_slots(n) if width is None else width)
+        if width is None:
+            width = edge_slots(n) if basis is None else len(basis)
+        e, ones = bitslice.edge_matrix(n, block, width, basis)
         return kind.table(bitslice, self, n, e, ones)
 
     def test(self, g: LabeledGraph) -> bool:

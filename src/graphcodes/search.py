@@ -13,11 +13,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bitslice import slot_columns
+from . import bitslice
 from .core import LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily
-from .linalg import gf2_reduced_basis, gray_span
+from .linalg import gf2_ordered_basis, ordered_span
 from .predicates import Predicate
 from . import bounds
 
@@ -25,9 +25,6 @@ GOOD_EXACT_LIMIT = 5
 DUAL_EXACT_LIMIT = 4
 LINEAR_LIMIT = 8
 DEFAULT_BUDGET_NODES = 10**8
-# the linear search classifies masks in blocks of 2^_BLOCK_WIDTH, so that a
-# budgeted search at n = 8 builds only the blocks it reaches
-_BLOCK_WIDTH = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,7 +201,7 @@ def _translated_rows(n: int, table: int) -> list[int]:
     before by swapping the blocks of width 2^s whose masks differ in bit s,
     so every row costs a few big-int operations."""
     slots = edge_slots(n)
-    cols = slot_columns(slots)
+    cols = bitslice.slot_columns(slots)
     rows = [0] * (1 << slots)
     x = table
     for k in range(1, len(rows)):
@@ -390,7 +387,9 @@ def max_linear_family(
         cap = slots
     budget = _Budget(budget_nodes, time_ms)
     began = time.perf_counter()
-    width = min(slots, _BLOCK_WIDTH)
+    # blocks of 2^BLOCK_WIDTH, so a budgeted search at n = 8 builds only the
+    # blocks it reaches
+    width = min(slots, bitslice.BLOCK_WIDTH)
     low = (1 << width) - 1
     top = 1 << slots
     blocks = _VerdictBlocks(n, pred, width)
@@ -445,8 +444,8 @@ def max_linear_family(
         extend([], [0], 1)
     except _BudgetExhausted:
         status = "timeout"
-    rows = gf2_reduced_basis(best_basis)
-    masks = sorted(gray_span(rows))
+    rows = gf2_ordered_basis(best_basis)
+    masks = ordered_span(rows)
     certificate = GraphFamily(
         n,
         tuple(LabeledGraph(n, m) for m in masks),

@@ -3,11 +3,13 @@
 A family's verdict depends only on its set of distinct pairwise differences,
 so the pairwise engine tests each difference once.  When the members form an
 affine coset of a GF(2) subspace, the differences are exactly the nonzero
-span elements, which are enumerated directly; a linear family is such a span
-and passes its sorted nonzero members.  Otherwise (or once a difference
-fails) index pairs (i, j), i < j, are walked in lexicographic order
-with a memo of verdicts per difference, so the first failing pair is a
-deterministic witness and the scan stops there.
+span elements, which are enumerated directly.  Otherwise (or once a
+difference fails) index pairs (i, j), i < j, are walked in lexicographic
+order with a memo of verdicts per difference, so the first failing pair is a
+deterministic witness and the scan stops there.  A linear family is such a
+span: its sorted nonzero members are decided a block at a time from the
+predicate's truth table over the span where that formula is cheaper than
+one kernel call per member, and through the pairwise engine otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import LabeledGraph
+from .core import LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily, ImplicitFamily
 from .linalg import LinearFamily, gf2_reduced_basis, gray_span
@@ -34,9 +36,11 @@ class VerifyReport:
     counts the pairs up to and including the witness.  A linear family counts
     span members instead of pairs, and its witness is (0, i) for the first
     failing member i of the sorted span.  ``method`` names the engine path
-    ("coset", "memoized", "linear" or "sampled"; a failing coset or span
-    still finds its witness by the memoized scan) and ``predicate_calls``
-    counts the predicate evaluations."""
+    ("coset", "memoized", "linear", "table" or "sampled"; a failing coset
+    or "linear" span still finds its witness by the memoized scan) and
+    ``predicate_calls`` counts the predicate evaluations: kernel calls, or
+    on the "table" path the truth tables evaluated, one per block of up to
+    2^16 span members."""
 
     passed: bool
     mode: str
@@ -149,16 +153,66 @@ def verify_dual_family(fam: GraphFamily, pred: Predicate) -> VerifyReport:
     return _run_pairwise(fam, pred, False, "dual")
 
 
+def _table_width(n: int, rank: int, ops: int) -> int | None:
+    """The block width of the table path for a span of this rank, or None
+    when one table per block of 2^w members costs more than one kernel call
+    per member: the table is used when ``ops``, its formula's estimated
+    big-int operations, is at most 2^w * C(n, 2) for w = min(rank,
+    ``bitslice.BLOCK_WIDTH``).  w <= rank, so bitslice is imported only
+    once the table may pay."""
+    slots = edge_slots(n)
+    if not rank or ops > (1 << rank) * slots:
+        return None
+    from .bitslice import BLOCK_WIDTH
+
+    width = min(rank, BLOCK_WIDTH)
+    return width if ops <= (1 << width) * slots else None
+
+
+def _table_scan(fam: LinearFamily, pred: Predicate, width: int) -> VerifyReport:
+    """Decide the sorted span in blocks of 2^width members, one truth table
+    per block over the ordered basis: bit i of block b is the verdict on
+    member b << width | i, so the first failing member is the lowest clear
+    bit of the first block that has one."""
+    n, rows = fam.n, fam.rows
+    ones = (1 << (1 << width)) - 1
+    blocks = 1 << fam.rank - width
+    for b in range(blocks):
+        fails = ones & ~pred.table(n, b, width, rows)
+        if b == 0:
+            fails &= ~1  # member 0 is the empty graph, never a difference
+        if fails:
+            i = b << width | (fails & -fails).bit_length() - 1
+            member = 0
+            for j, row in enumerate(rows):
+                if i >> j & 1:
+                    member ^= row
+            return VerifyReport(False, "linear", i,
+                                ((0, i), LabeledGraph(n, member)),
+                                "table", b + 1)
+    return VerifyReport(True, "linear", (1 << fam.rank) - 1, None, "table",
+                        blocks)
+
+
 def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:
-    """Check every nonzero span member, through the pairwise engine with the
-    members as the difference set: the differences of a span are exactly its
-    nonzero members, and ``pairs_checked`` counts members.
+    """Check every nonzero span member; ``pairs_checked`` counts members.
 
     The sorted span puts the empty graph at index 0, so the first failing
     pair is (0, i) for the smallest failing member i, and ``pairs_checked``
-    and ``predicate_calls`` are both i.  The one exception: when i lies
-    beyond ``MEMO_CAP``, ``predicate_calls`` is 2i - MEMO_CAP, because the
-    witness scan re-tests the members past the memo."""
+    is i.  Where the predicate's truth-table formula is cheaper than one
+    kernel call per member (``_table_width``), the members are decided a
+    block at a time from ``Predicate.table`` over the span's ordered basis
+    (method "table"), and ``predicate_calls`` counts the tables.
+    Otherwise the pairwise engine runs with the members as the difference
+    set, since the differences of a span are exactly its nonzero members
+    (method "linear"), and ``predicate_calls`` is i too; only when i lies
+    beyond ``MEMO_CAP`` is it 2i - MEMO_CAP, because the witness scan
+    re-tests the members past the memo."""
+    fam.check_span_budget()
+    kind = pred._domain(fam.n)
+    width = _table_width(fam.n, fam.rank, kind.ops(pred, fam.n))
+    if width is not None:
+        return _table_scan(fam, pred, width)
     masks = fam.span_masks()
     failure, calls = _scan_pairs(fam.n, masks, masks[1:], pred, True)
     return _report(fam.n, masks, failure, "linear", "linear", calls,

@@ -153,7 +153,13 @@ def test_bound_report_domain():
         for n in (-2, 0, 1):
             with pytest.raises(DomainError, match="need n >= 2"):
                 B.bound_report(name, n)
-        assert B.bound_report(name, 2).n == 2
+        if name != "hamcycle":
+            assert B.bound_report(name, 2).n == 2
+    # the row follows the predicate's own domain, as search and verify do
+    with pytest.raises(DomainError,
+                       match="a Hamiltonian cycle needs at least 3 vertices"):
+        B.bound_report("hamcycle", 2)
+    assert B.bound_report("hamcycle", 3).upper == 2
     with pytest.raises(GraphCodesError, match="no bound row"):
         B.bound_report("kconn:4", 5)
 

@@ -82,11 +82,15 @@ def test_bound_and_table_outputs_are_pinned(capsys):
     digest = hashlib.sha256()
     for name in names:
         for n in range(2, 17):
+            if name == "hamcycle" and n == 2:  # outside the domain, below
+                continue
             for extra in ((), ("--json",)):
                 assert run("bound", "--pred", name, "--n", str(n), *extra) == 0
                 digest.update(capsys.readouterr().out.encode())
+    # every row but hamcycle at n=2, which printed "M <= 1" before bound
+    # checked the predicate's domain
     assert digest.hexdigest() == \
-        "0d81a5f8a38361dc8fb537f12db79b4d6173de4f20ce46543c3fe12e0c98a150"
+        "725a4d08f06aceff80462a73173eb4930a57ba95d3b54e2c1c1f2fe11def55d5"
     assert run("table", "--range", "3..14", "--json") == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "071926d974ff47a34f121f53bc7e8ee1ae88764300d25fbe4e148976e68f47a9"
@@ -152,6 +156,16 @@ def test_search_checks_the_predicate_domain(capsys, mode):
     # hamcycle n=2 has a rank cap of 0, so the linear search used to stop
     # before any predicate call and print "optimum 1 [exact]" with exit 0
     assert run("search", "--pred", "hamcycle", "--n", "2", "--mode", mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: a Hamiltonian cycle needs at least 3 vertices\n"
+
+
+@pytest.mark.parametrize("extra", ((), ("--json",)))
+def test_bound_checks_the_predicate_domain(capsys, extra):
+    # it used to print "M <= 1 (product bound via dual-pendant)" and exit 0
+    assert run("bound", "--pred", "hamcycle", "--n", "2", *extra) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == \

@@ -3,11 +3,18 @@ import random
 import pytest
 
 from graphcodes import CapabilityError, LabeledGraph, empty_graph, graph_from_edges
+from hypothesis import given, settings, strategies as st
+
 from graphcodes.linalg import (
     LinearFamily,
     double_cover_check,
     enumerate_span,
+    gf2_in_span,
+    gf2_ordered_basis,
     gf2_rank,
+    gf2_reduced_basis,
+    gray_span,
+    ordered_span,
     rank,
 )
 from graphcodes.constructions import (
@@ -87,3 +94,27 @@ def test_rank_budget():
     assert fam.rank == 27
     with pytest.raises(CapabilityError):
         fam.span_masks()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, (1 << 21) - 1), max_size=9))
+def test_ordered_basis_enumerates_the_sorted_span(gens):
+    rows = gf2_ordered_basis(gens)
+    assert len(rows) == gf2_rank(gens)
+    # pivots (highest slots) ascend, and each is set in its own row only
+    tops = [r.bit_length() - 1 for r in rows]
+    assert tops == sorted(set(tops))
+    for r in rows:
+        assert sum(other >> r.bit_length() - 1 & 1 for other in rows) == 1
+    # member i is the XOR of the rows at the set bits of i, ascending
+    span = ordered_span(rows)
+    for i, member in enumerate(span):
+        x = 0
+        for j, row in enumerate(rows):
+            if i >> j & 1:
+                x ^= row
+        assert member == x
+    assert span == sorted(gray_span(gf2_reduced_basis(gens)))
+    assert all(gf2_in_span(m, rows) for m in gens)
+    outside = [m for m in range(64) if m not in set(span)]
+    assert not any(gf2_in_span(m, rows) for m in outside)

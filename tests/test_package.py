@@ -11,7 +11,7 @@ import pytest
 
 import graphcodes
 from graphcodes.cli import main
-from graphcodes.core import complete_graph, empty_graph
+from graphcodes.core import complete_graph, cycle_graph, empty_graph
 from graphcodes.family import save_family
 
 SRC = Path(graphcodes.__file__).resolve().parents[1]
@@ -127,6 +127,14 @@ FOOTPRINTS = {
                           "graphcodes.factorization"}),
     "verify": (["verify", "--pred", "connected", "{family}"],
                FAMILIES | {"graphcodes.predicates", "graphcodes.verify"}),
+    # a span decided from the truth table loads its formulas; hamcycle stays
+    # on the per-member kernel and does not
+    "verify-table": (["verify", "--pred", "connected", "{basis}"],
+                     FAMILIES | {"graphcodes.predicates", "graphcodes.verify",
+                                 "graphcodes.bitslice"}),
+    "verify-kernel": (["verify", "--pred", "hamcycle", "{basis}"],
+                      FAMILIES | {"graphcodes.predicates",
+                                  "graphcodes.verify"}),
     "search": (["search", "--pred", "k3", "--n", "4", "--mode", "good"],
                FAMILIES | {"graphcodes.predicates", "graphcodes.search",
                            "graphcodes.bounds", "graphcodes.bitslice"}),
@@ -157,7 +165,11 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
     if argv is not None:
         family = tmp_path / "fam.json"
         save_family(family, 4, [empty_graph(4), complete_graph(4)])
-        argv = [a.format(family=family) for a in argv]
+        # a rank-2 span whose three members have Hamiltonian cycles
+        basis = tmp_path / "basis.json"
+        save_family(basis, 5, [complete_graph(5), cycle_graph(5)],
+                    role="basis")
+        argv = [a.format(family=family, basis=basis) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
                           env=env, capture_output=True, text=True, check=True)

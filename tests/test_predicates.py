@@ -31,7 +31,8 @@ from graphcodes import (
 )
 from graphcodes import predicates as P
 from graphcodes.constructions import k3_family_5, star_family, starter_factorization
-from graphcodes.bitslice import slot_columns
+from graphcodes.bitslice import edge_matrix, slot_columns
+from graphcodes.linalg import gf2_ordered_basis, ordered_span
 from graphcodes.core import adjacency_masks
 from graphcodes.oracles import oracle_vertex_connectivity
 
@@ -593,6 +594,64 @@ def test_table_domain_checks():
     for block, width in ((0, 4), (2, 2), (-1, 2), (0, -1)):
         with pytest.raises(DomainError, match="no block"):
             P.CONNECTED.table(3, block, width)
+
+
+@pytest.mark.parametrize("pred", TABLE_PREDS, ids=lambda p: p.name)
+def test_table_over_a_basis_matches_the_kernel_on_its_span(pred):
+    # bit i of block b is the verdict on the XOR of the rows at the set bits
+    # of b << width | i
+    rng = random.Random(f"basis-{pred.name}")
+    for n in (4, 5, 6, 8):
+        slots = edge_slots(n)
+        rows = gf2_ordered_basis(rng.getrandbits(slots)
+                                 for _ in range(rng.randint(0, 7)))
+        width = rng.randint(0, len(rows))
+        block = rng.randrange(1 << len(rows) - width)
+        table = pred.table(n, block, width, rows)
+        assert table >> (1 << width) == 0
+        for i in range(1 << width):
+            member = 0
+            for j, row in enumerate(rows):
+                if (block << width | i) >> j & 1:
+                    member ^= row
+            assert table >> i & 1 == pred.test_mask(n, member), (n, i)
+        # the whole span by default
+        assert pred.table(n, basis=rows) == sum(
+            pred.test_mask(n, m) << i for i, m in enumerate(ordered_span(rows)))
+
+
+def test_unit_rows_give_the_mask_space_matrix():
+    for n in (2, 4, 6):
+        slots = edge_slots(n)
+        unit = [1 << s for s in range(slots)]
+        for width in range(slots + 1):
+            for block in (0, (1 << slots - width) - 1, 5 % (1 << slots - width)):
+                assert edge_matrix(n, block, width, unit) == \
+                    edge_matrix(n, block, width)
+
+
+def test_table_basis_domain_checks():
+    with pytest.raises(DomainError, match="past the 6"):
+        P.CONNECTED.table(4, 0, 1, [1 << 6])
+    with pytest.raises(DomainError, match="no block 2 of width 1 among 2"):
+        P.CONNECTED.table(4, 2, 1, [1, 2])
+    assert P.CONNECTED.table(4, 0, 0, []) == 0  # the empty graph alone
+
+
+def test_table_cost_estimates():
+    # big-int operations of one table, which decide whether linear
+    # verification uses it
+    def ops(pred, n):
+        return P._KINDS[pred.kind].ops(pred, n)
+
+    assert ops(P.CONNECTED, 13) == ops(P.STAR, 13) == 169
+    assert ops(P.THREE_CONNECTED, 15) == (1 + 15 + 105) * 225
+    assert ops(k_connected(4), 15) == (1 + 15 + 105 + 455) * 225
+    assert ops(P.HAMCYCLE, 14) == ops(P.HAMPATH, 14) == 2 ** 14 * 196
+    assert ops(P.ODDCYCLE, 7) == 2 ** 6 * 7
+    assert ops(P.K3, 6) == 120 * 3
+    assert ops(P.contains_induced_pred(empty_graph(3), "e3"), 5) == 60 * 3
+    assert ops(P.K3, 2) == 0  # no placement
 
 
 def test_slot_columns_mark_the_masks_with_each_bit_set():

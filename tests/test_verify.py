@@ -18,6 +18,7 @@ from graphcodes import (
 )
 from graphcodes import constructions as C
 from graphcodes import predicates as P
+from graphcodes import bitslice as B
 from graphcodes import verify as V
 from graphcodes.linalg import LinearFamily, enumerate_span
 
@@ -299,6 +300,8 @@ def test_predicate_calls_count_distinct_differences():
 def test_linear_and_sampled_report_their_calls():
     rep = verify_linear_family(C.k3_family_5(), P.K3)
     assert rep.method == "linear" and rep.predicate_calls == 15
+    rep = verify_linear_family(C.codd_family_7(), P.ODDCYCLE)
+    assert rep.method == "table" and rep.predicate_calls == 1
     rep = verify_dual_sampled(C.dual_star_implicit(6), P.STAR, pairs=30)
     assert rep.method == "sampled" and rep.predicate_calls == 30
 
@@ -309,8 +312,9 @@ def test_linear_and_sampled_report_their_calls():
 
 def member_loop_linear(fam, pred):
     """The dedicated loop over the sorted span that verify_linear_family ran
-    before it went through the difference-set engine, kept as a reference."""
-    masks = fam.span_masks()
+    before it went through the difference-set engine, kept as a reference;
+    the span is sorted here, not taken in the order of the ordered basis."""
+    masks = sorted(gray_span(gf2_reduced_basis(g.bits for g in fam.basis)))
     test = pred.test_mask
     for idx in range(1, len(masks)):
         if not test(fam.n, masks[idx]):
@@ -324,7 +328,26 @@ def member_loop_linear(fam, pred):
 
 NAMED_PREDICATES = tuple(P.parse_predicate(name) for name in (
     "connected", "2conn", "3conn", "hampath", "hamcycle", "star", "k3",
-    "oddcycle"))
+    "oddcycle", "kconn:4"))
+
+
+def verdict(rep):
+    return rep.passed, rep.mode, rep.pairs_checked, rep.witness
+
+
+def assert_matches_member_loop(fam, pred):
+    """The verdict fields equal the member loop's; the method's own counter
+    is pinned: the kernel scan tests every member up to the witness, the
+    table path evaluates one table per block of 2^16 members."""
+    rep = verify_linear_family(fam, pred)
+    ref = member_loop_linear(fam, pred)
+    assert verdict(rep) == verdict(ref), (fam.n, pred.name)
+    if rep.method == "table":
+        assert rep.predicate_calls == 1 and fam.rank <= 16
+    else:
+        assert rep.method == "linear"
+        assert rep.predicate_calls == ref.predicate_calls
+    return rep
 
 
 def shipped_linear_families():
@@ -335,21 +358,22 @@ def shipped_linear_families():
 
 
 def test_linear_reports_match_member_loop_on_shipped_constructions():
-    compared = failed = 0
+    compared = failed = tables = 0
     for fam in shipped_linear_families():
         for pred in NAMED_PREDICATES:
-            rep = verify_linear_family(fam, pred)
-            assert rep == member_loop_linear(fam, pred), (fam.n, pred.name)
+            rep = assert_matches_member_loop(fam, pred)
             compared += 1
             failed += not rep.passed
-    assert compared == 88 and 0 < failed < compared
+            tables += rep.method == "table"
+    assert compared == 99 and 0 < failed < compared
+    assert tables == 43
 
 
 @st.composite
 def linear_families(draw):
-    """Spans on 3..6 vertices: rank 0 (no generators or only zero ones),
+    """Spans on 3..8 vertices: rank 0 (no generators or only zero ones),
     redundant generator lists and arbitrary, mostly failing, spans."""
-    n = draw(vertex_counts)
+    n = draw(st.integers(min_value=3, max_value=8))
     top = (1 << edge_slots(n)) - 1
     gens = draw(st.lists(st.integers(0, top), max_size=5))
     if len(gens) >= 2 and draw(st.booleans()):
@@ -364,24 +388,78 @@ def linear_families(draw):
 @example(C.k3_family_5())  # five generators of rank 4
 def test_linear_reports_match_member_loop_on_drawn_spans(fam):
     for pred in SHIPPED_PREDICATES:
-        assert verify_linear_family(fam, pred) == member_loop_linear(fam, pred)
+        assert_matches_member_loop(fam, pred)
 
 
 def test_linear_calls_past_the_memo_cap():
-    # a rank-4 span on 5 vertices whose first disconnected member in sorted
-    # order comes late; past the memo the witness scan re-tests members
+    # a rank-4 span on 5 vertices whose first member without a Hamiltonian
+    # path in sorted order comes late; past the memo the kernel scan's
+    # witness scan re-tests members (hampath stays on the kernel scan)
     rng = random.Random(3)
     while True:
         fam = LinearFamily(5, tuple(LabeledGraph(5, rng.getrandbits(10))
                                     for _ in range(4)))
-        ref = member_loop_linear(fam, P.CONNECTED)
+        ref = member_loop_linear(fam, P.HAMPATH)
         if fam.rank == 4 and not ref.passed and ref.pairs_checked >= 6:
             break
     i = ref.pairs_checked
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(V, "MEMO_CAP", 3)
-        rep = verify_linear_family(fam, P.CONNECTED)
+        rep = verify_linear_family(fam, P.HAMPATH)
     assert (rep.passed, rep.witness, rep.pairs_checked, rep.method) == \
         (ref.passed, ref.witness, ref.pairs_checked, ref.method)
     assert rep.predicate_calls == 2 * i - 3
-    assert verify_linear_family(fam, P.CONNECTED) == ref
+    assert verify_linear_family(fam, P.HAMPATH) == ref
+
+
+def test_table_path_walks_blocks_until_the_first_failure(monkeypatch):
+    # with blocks of 4 members, a rank-5 span whose first disconnected
+    # member lies past the second block is decided by the table of its own
+    # block, after the passing blocks before it
+    monkeypatch.setattr(B, "BLOCK_WIDTH", 2)
+    rng = random.Random(5)
+    while True:
+        fam = LinearFamily(6, tuple(LabeledGraph(6, rng.getrandbits(15))
+                                    for _ in range(5)))
+        ref = member_loop_linear(fam, P.CONNECTED)
+        if fam.rank == 5 and not ref.passed and ref.pairs_checked >= 8:
+            break
+    rep = verify_linear_family(fam, P.CONNECTED)
+    i = ref.pairs_checked
+    assert verdict(rep) == verdict(ref)
+    assert rep.method == "table" and rep.predicate_calls == i // 4 + 1 >= 3
+    # a passing rank-6 span takes all 16 blocks
+    fam = C.ham_cycle_family(8)
+    rep = verify_linear_family(fam, P.CONNECTED)
+    assert verdict(rep) == verdict(member_loop_linear(fam, P.CONNECTED))
+    assert rep.passed and rep.method == "table" and rep.predicate_calls == 16
+
+
+# the linear verify jobs of the benchmark's span-certify workload (and the
+# hampath one of exact-search): (predicate, family, method, predicate_calls,
+# pairs_checked).  The table is used when its formula's estimated big-int
+# operations are at most 2^min(rank, 16) * C(n, 2); kconn:4 on h4 misses that
+# by 576 * 15^2 = 129,600 against 2^10 * 105 = 107,520.
+SPAN_CERTIFY_JOBS = (
+    ("3conn", lambda: C.hamming_bipartite_family(4), "table", 1, 1023),
+    ("hamcycle", lambda: C.ham_cycle_family(14), "linear", 4095, 4095),
+    ("2conn", lambda: C.ham_cycle_family(14), "table", 1, 4095),
+    ("hampath", lambda: C.ham_path_family(13), "linear", 4095, 4095),
+    ("connected", lambda: C.ham_path_family(13), "table", 1, 4095),
+    ("oddcycle", C.codd_family_7, "table", 1, 511),
+    ("k3", C.k3_family_6, "table", 1, 63),
+    ("kconn:4", lambda: C.hamming_bipartite_family(4), "linear", 1, 1),
+    ("hampath", lambda: C.ham_path_family(5), "linear", 15, 15),
+)
+
+
+@pytest.mark.parametrize("name, family, method, calls, pairs",
+                         SPAN_CERTIFY_JOBS,
+                         ids=[f"{job[0]}-{i}"
+                              for i, job in enumerate(SPAN_CERTIFY_JOBS)])
+def test_benchmark_linear_jobs_take_their_pinned_method(name, family, method,
+                                                        calls, pairs):
+    rep = verify_linear_family(family(), P.parse_predicate(name))
+    assert (rep.method, rep.predicate_calls, rep.pairs_checked) == \
+        (method, calls, pairs)
+    assert rep.passed == (name != "kconn:4")
