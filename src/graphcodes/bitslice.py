@@ -8,9 +8,10 @@ holds, for each vertex pair, the column of its slot.  A formula combines
 these columns with AND, OR and complement and returns the bitset of the
 masks on which its predicate holds, so each big-int operation decides every
 mask of the block at once (Biham, FSE 1997).  ``predicates.Predicate.table``
-picks the formula of each predicate kind; this module is imported only when
-a table is built, so processes that only call the per-mask kernels do not
-load it.
+picks the formula of each predicate kind, and ``verify`` covers a span with
+the columns of ``slot_matrix``; this module is imported only when a table is
+built or a span is covered, so processes that only call the per-mask kernels
+do not load it.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ def slot_columns(width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def edge_matrix(n: int, block: int, width: int,
-                rows=None) -> tuple[list[list[int]], int]:
-    """(e, ones) for the 2^width masks of block ``block``: mask i of the
+def slot_matrix(n: int, block: int, width: int,
+                rows=None) -> tuple[list[int], int]:
+    """(col, ones) for the 2^width masks of block ``block``: mask i of the
     block is the XOR of ``rows`` at the set bits of ``block << width | i``,
-    e[u][v] is the bitset of the masks that hold edge {u+1, v+1} (e[v][v] is
-    0), and ``ones`` is the whole block.  The column of slot s is the XOR of
+    col[s] is the bitset of the masks that hold edge slot s, and ``ones`` is
+    the whole block.  The column of slot s is the XOR of
     ``slot_columns(width)[j]`` over the rows j < width that hold s,
     complemented when an odd number of the rows j >= width that ``block``
     selects hold s.  ``rows`` defaults to the unit rows of the C(n, 2)
@@ -72,6 +73,15 @@ def edge_matrix(n: int, block: int, width: int,
             low = m & -m
             col[low.bit_length() - 1] ^= cols[j]
             m ^= low
+    return col, ones
+
+
+def edge_matrix(n: int, block: int, width: int,
+                rows=None) -> tuple[list[list[int]], int]:
+    """(e, ones) for the block of ``slot_matrix``, with the columns by
+    vertex pair: e[u][v] is the bitset of the masks that hold edge
+    {u+1, v+1} (e[v][v] is 0)."""
+    col, ones = slot_matrix(n, block, width, rows)
     e = [[0] * n for _ in range(n)]
     s = 0
     for v in range(1, n):

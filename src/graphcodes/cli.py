@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 from .errors import GraphCodesError
 
@@ -98,6 +99,7 @@ def _cmd_verify(args) -> int:
     linear = args.linear or loaded.role == "basis"
     if linear and args.dual:
         raise GraphCodesError("linear verification has no dual mode")
+    start = time.perf_counter()
     if args.sample is not None:
         if not args.dual:
             raise GraphCodesError("--sample is only available for dual checks")
@@ -112,6 +114,7 @@ def _cmd_verify(args) -> int:
             report = verify_dual_family(fam, pred)
         else:
             report = verify_family(fam, pred)
+    verify_s = time.perf_counter() - start
     if args.json:
         payload = {
             "passed": report.passed,
@@ -131,6 +134,11 @@ def _cmd_verify(args) -> int:
         if report.witness:
             (i, j), diff = report.witness
             print(f"witness pair ({i}, {j}); difference edges {diff.edges()}")
+    if args.stats:
+        print(f"stats: mode={report.mode} method={report.method} "
+              f"predicate_calls={report.predicate_calls} "
+              f"checked={report.pairs_checked} verify_s={verify_s:.4f}",
+              file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -316,6 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for sampled checks")
     p_verify.add_argument("--json", action="store_true")
+    p_verify.add_argument("--stats", action="store_true",
+                          help="print the method, counters and time on stderr")
 
     p_bound = sub.add_parser("bound", help="print bound reports")
     p_bound.add_argument("--pred", required=True)

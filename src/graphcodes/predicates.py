@@ -249,45 +249,60 @@ def _is_k_connected_mask(n: int, bits: int, k: int) -> bool:
 # Hamiltonian paths and cycles (one backtrack with a path/cycle switch)
 
 
-def _hamiltonian_mask(n: int, bits: int, cycle: bool) -> bool:
-    """A Hamiltonian cycle (``cycle``) or path, by backtracking.  A path may
-    start at any vertex.  A cycle starts at vertex 0 and must close back to
-    it; it also filters on minimum degree 2 and prunes a branch that leaves
-    an unvisited vertex fewer than two usable neighbours.  Both prune a
-    branch whose unvisited vertices are not all reachable from the current
-    end."""
+def _edge_bit(u: int, v: int) -> int:
+    """The mask of the edge between 0-based vertices u != v."""
+    if u > v:
+        u, v = v, u
+    return 1 << v * (v - 1) // 2 + u
+
+
+def _hamiltonian_mask(n: int, bits: int, cycle: bool) -> int | None:
+    """The edges of a Hamiltonian cycle (``cycle``) or path, by
+    backtracking, or None when there is none.  A path may start at any
+    vertex.  A cycle starts at vertex 0 and must close back to it; it also
+    filters on minimum degree 2 and prunes a branch that leaves an unvisited
+    vertex fewer than two usable neighbours.  Both prune a branch whose
+    unvisited vertices are not all reachable from the current end."""
     adj = adjacency_masks(n, bits)
     full = (1 << n) - 1
     if cycle and any(a.bit_count() < 2 for a in adj):
-        return False
+        return None
     if _reach(adj, 1, full) != full:
-        return False
+        return None
 
-    def rec(cur: int, visited: int) -> bool:
+    def rec(cur: int, visited: int) -> int | None:
+        """The edges of the rest of the path from ``cur``, or None."""
         if visited == full:
-            return not cycle or bool(adj[cur] & 1)
+            if not cycle:
+                return 0
+            return _edge_bit(cur, 0) if adj[cur] & 1 else None
         unvisited = full & ~visited
         cand = adj[cur] & unvisited
         if _reach(adj, cand, unvisited) != unvisited:
-            return False
+            return None
         if cycle:
             avail = unvisited | (1 << cur) | 1
             m = unvisited
             while m:
                 lowbit = m & -m
                 if (adj[lowbit.bit_length() - 1] & avail).bit_count() < 2:
-                    return False
+                    return None
                 m ^= lowbit
         while cand:
             lowbit = cand & -cand
-            if rec(lowbit.bit_length() - 1, visited | lowbit):
-                return True
+            rest = rec(lowbit.bit_length() - 1, visited | lowbit)
+            if rest is not None:
+                return rest | _edge_bit(cur, lowbit.bit_length() - 1)
             cand ^= lowbit
-        return False
+        return None
 
     if cycle:
         return rec(0, 1)
-    return any(rec(s, 1 << s) for s in range(n))
+    for s in range(n):
+        path = rec(s, 1 << s)
+        if path is not None:
+            return path
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +330,12 @@ def _pattern_order(pn: int, padj: list[int]) -> list[int]:
     return order
 
 
-def _contains_mask(n: int, bits: int, pn: int, pbits: int, induced: bool) -> bool:
+def _contains_mask(n: int, bits: int, pn: int, pbits: int,
+                   induced: bool) -> int | None:
+    """The edges of a placement of the pattern (``induced``: with its
+    non-edges absent too) in the graph, by backtracking, or None."""
     if pn > n:
-        return False
+        return None
     padj = adjacency_masks(pn, pbits)
     hadj = adjacency_masks(n, bits)
     hdeg = [hadj[v].bit_count() for v in range(n)]
@@ -347,7 +365,16 @@ def _contains_mask(n: int, bits: int, pn: int, pbits: int, induced: bool) -> boo
                     return True
         return False
 
-    return place(0, 0)
+    if not place(0, 0):
+        return None
+    placed = 0
+    for p in range(pn):
+        m = padj[p] >> p + 1
+        while m:
+            low = m & -m
+            placed |= _edge_bit(mapping[p], mapping[p + low.bit_length()])
+            m ^= low
+    return placed
 
 
 def _odd_cycle_mask(n: int, bits: int) -> bool:
@@ -427,6 +454,10 @@ class _Kind(NamedTuple):
     table: Callable[..., int]
     # (predicate, n) -> an estimate of the big-int operations of one table
     ops: Callable[[Predicate, int], int]
+    # monotone kinds only: (predicate, n, bits) -> an edge mask W within
+    # bits on which the predicate holds, or None when it fails on bits; then
+    # it holds on every graph that contains W
+    witness: Callable[[Predicate, int, int], int | None] | None = None
 
 
 _CONNECTIVITY_MIN = "connectivity needs at least 2 vertices"
@@ -444,14 +475,16 @@ _KINDS: dict[str, _Kind] = {
         lambda p, n: sum(comb(n, s) for s in range(p.k)) * n * n),
     "hampath": _Kind(
         2, "a Hamiltonian path needs at least 2 vertices", True,
-        lambda p, n, bits: _hamiltonian_mask(n, bits, False),
+        lambda p, n, bits: _hamiltonian_mask(n, bits, False) is not None,
         lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, False),
-        lambda p, n: (1 << n) * n * n),
+        lambda p, n: (1 << n) * n * n,
+        lambda p, n, bits: _hamiltonian_mask(n, bits, False)),
     "hamcycle": _Kind(
         3, "a Hamiltonian cycle needs at least 3 vertices", True,
-        lambda p, n, bits: _hamiltonian_mask(n, bits, True),
+        lambda p, n, bits: _hamiltonian_mask(n, bits, True) is not None,
         lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, True),
-        lambda p, n: (1 << n) * n * n),
+        lambda p, n: (1 << n) * n * n,
+        lambda p, n, bits: _hamiltonian_mask(n, bits, True)),
     "star": _Kind(
         2, "a spanning star needs at least 2 vertices", False,
         lambda p, n, bits: _spanning_star_mask(n, bits),
@@ -460,13 +493,15 @@ _KINDS: dict[str, _Kind] = {
     "contains": _Kind(
         0, "", False,
         lambda p, n, bits: _contains_mask(
-            n, bits, p.pattern.n, p.pattern.bits, False),
+            n, bits, p.pattern.n, p.pattern.bits, False) is not None,
         lambda b, p, n, e, ones: b.contains(n, e, ones, p.pattern, False),
-        lambda p, n: perm(n, p.pattern.n) * p.pattern.bits.bit_count()),
+        lambda p, n: perm(n, p.pattern.n) * p.pattern.bits.bit_count(),
+        lambda p, n, bits: _contains_mask(
+            n, bits, p.pattern.n, p.pattern.bits, False)),
     "contains-induced": _Kind(
         0, "", False,
         lambda p, n, bits: _contains_mask(
-            n, bits, p.pattern.n, p.pattern.bits, True),
+            n, bits, p.pattern.n, p.pattern.bits, True) is not None,
         lambda b, p, n, e, ones: b.contains(n, e, ones, p.pattern, True),
         lambda p, n: perm(n, p.pattern.n) * comb(p.pattern.n, 2)),
     "oddcycle": _Kind(

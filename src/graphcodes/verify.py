@@ -9,7 +9,9 @@ order with a memo of verdicts per difference, so the first failing pair is a
 deterministic witness and the scan stops there.  A linear family is such a
 span: its sorted nonzero members are decided a block at a time from the
 predicate's truth table over the span where that formula is cheaper than
-one kernel call per member, and through the pairwise engine otherwise.
+one kernel call per member; else, for a monotone predicate, by a cover of
+witnesses, each deciding every member that contains it; and through the
+pairwise engine otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from .core import LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily, ImplicitFamily
-from .linalg import LinearFamily, gf2_reduced_basis, gray_span
+from .linalg import LinearFamily, gf2_reduced_basis, gray_span, ordered_span
 from .predicates import Predicate
 
 MEMO_CAP = 1 << 18
@@ -36,11 +38,12 @@ class VerifyReport:
     counts the pairs up to and including the witness.  A linear family counts
     span members instead of pairs, and its witness is (0, i) for the first
     failing member i of the sorted span.  ``method`` names the engine path
-    ("coset", "memoized", "linear", "table" or "sampled"; a failing coset
-    or "linear" span still finds its witness by the memoized scan) and
-    ``predicate_calls`` counts the predicate evaluations: kernel calls, or
-    on the "table" path the truth tables evaluated, one per block of up to
-    2^16 span members."""
+    ("coset", "memoized", "linear", "table", "cover" or "sampled"; a
+    failing coset or "linear" span still finds its witness by the memoized
+    scan) and ``predicate_calls`` counts the predicate evaluations: kernel
+    calls, on the "table" path the truth tables evaluated, one per block of
+    up to 2^16 span members, and on the "cover" path the witness
+    searches."""
 
     passed: bool
     mode: str
@@ -194,25 +197,70 @@ def _table_scan(fam: LinearFamily, pred: Predicate, width: int) -> VerifyReport:
                         blocks)
 
 
+def _cover_scan(fam: LinearFamily, pred: Predicate, witness) -> VerifyReport:
+    """Decide the sorted span of a monotone predicate by witnesses, in
+    blocks of 2^width members: the lowest undecided member gets a witness
+    W, and the AND of W's slot columns over the block is every member that
+    contains W, so P holds on all of them.  A member without a witness is
+    the first failing member.  Member b << width | k is the XOR of the
+    high rows' span element b and the low rows' element k."""
+    from .bitslice import BLOCK_WIDTH, slot_matrix
+
+    n, rows = fam.n, fam.rows
+    width = min(fam.rank, BLOCK_WIDTH)
+    low, high = ordered_span(rows[:width]), ordered_span(rows[width:])
+    calls = 0
+    for b, top in enumerate(high):
+        cols, ones = slot_matrix(n, b, width, rows)
+        undecided = ones & ~1 if b == 0 else ones  # member 0 is empty
+        while undecided:
+            bit = undecided & -undecided
+            member = top ^ low[bit.bit_length() - 1]
+            calls += 1
+            w = witness(pred, n, member)
+            if w is None:
+                i = b << width | bit.bit_length() - 1
+                return VerifyReport(False, "linear", i,
+                                    ((0, i), LabeledGraph(n, member)),
+                                    "cover", calls)
+            covered = undecided
+            while w:
+                s = w & -w
+                covered &= cols[s.bit_length() - 1]
+                w ^= s
+            # bit is covered, as W lies within its member; clearing it
+            # explicitly ends the loop whatever the witness
+            undecided ^= covered | bit
+    return VerifyReport(True, "linear", (1 << fam.rank) - 1, None, "cover",
+                        calls)
+
+
 def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:
     """Check every nonzero span member; ``pairs_checked`` counts members.
 
     The sorted span puts the empty graph at index 0, so the first failing
     pair is (0, i) for the smallest failing member i, and ``pairs_checked``
-    is i.  Where the predicate's truth-table formula is cheaper than one
-    kernel call per member (``_table_width``), the members are decided a
-    block at a time from ``Predicate.table`` over the span's ordered basis
-    (method "table"), and ``predicate_calls`` counts the tables.
-    Otherwise the pairwise engine runs with the members as the difference
-    set, since the differences of a span are exactly its nonzero members
-    (method "linear"), and ``predicate_calls`` is i too; only when i lies
-    beyond ``MEMO_CAP`` is it 2i - MEMO_CAP, because the witness scan
-    re-tests the members past the memo."""
+    is i.  Three paths, tried in this order:
+
+    - where the predicate's truth-table formula is cheaper than one kernel
+      call per member (``_table_width``), the members are decided a block
+      at a time from ``Predicate.table`` over the span's ordered basis
+      (method "table"), and ``predicate_calls`` counts the tables;
+    - a monotone predicate (one whose kind has a witness) takes the cover
+      of ``_cover_scan`` (method "cover"), and ``predicate_calls`` counts
+      the witnesses searched, at most i;
+    - otherwise the pairwise engine runs with the members as the difference
+      set, since the differences of a span are exactly its nonzero members
+      (method "linear"), and ``predicate_calls`` is i too; only when i lies
+      beyond ``MEMO_CAP`` is it 2i - MEMO_CAP, because the witness scan
+      re-tests the members past the memo."""
     fam.check_span_budget()
     kind = pred._domain(fam.n)
     width = _table_width(fam.n, fam.rank, kind.ops(pred, fam.n))
     if width is not None:
         return _table_scan(fam, pred, width)
+    if kind.witness is not None:
+        return _cover_scan(fam, pred, kind.witness)
     masks = fam.span_masks()
     failure, calls = _scan_pairs(fam.n, masks, masks[1:], pred, True)
     return _report(fam.n, masks, failure, "linear", "linear", calls,

@@ -350,6 +350,49 @@ def test_verify_json_reports_method_and_calls(tmp_path, capsys):
                        "predicate_calls": 15}
 
 
+@pytest.mark.parametrize("family, params, pred, exit_code, counters", (
+    ("split-clique", ("--n", "5"), "connected", 0,
+     {"mode": "pairwise", "method": "coset", "predicate_calls": "15",
+      "checked": "120"}),
+    ("hamcycle", ("--n", "8"), "hamcycle", 0,
+     {"mode": "linear", "method": "cover", "predicate_calls": "21",
+      "checked": "63"}),
+    ("k3-5", (), "hampath", 1,
+     {"mode": "linear", "method": "cover", "predicate_calls": "1",
+      "checked": "1"}),
+), ids=("pairwise", "cover", "cover-fails"))
+@pytest.mark.parametrize("json_flag", ((), ("--json",)), ids=("text", "json"))
+def test_verify_stats_line(tmp_path, capsys, family, params, pred, exit_code,
+                           counters, json_flag):
+    out = tmp_path / "fam.json"
+    assert run("build", "--family", family, *params, "--out", str(out)) == 0
+    capsys.readouterr()
+    argv = ("verify", "--pred", pred, str(out), *json_flag)
+    assert run(*argv) == exit_code
+    plain = capsys.readouterr()
+    assert run(*argv, "--stats") == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == plain.out and plain.err == ""
+    assert captured.err.startswith("stats: ") and captured.err.count("\n") == 1
+    fields = dict(f.split("=") for f in
+                  captured.err.removeprefix("stats: ").split())
+    assert list(fields) == list(counters) + ["verify_s"]
+    assert all(fields[k] == v for k, v in counters.items())
+    assert float(fields["verify_s"]) >= 0
+
+
+def test_verify_cover_keeps_the_hamiltonicity_cap(tmp_path, capsys):
+    # a hamcycle basis past the cap takes no path, the cover included
+    path = tmp_path / "hc17.json"
+    save_family(path, 17, [complete_graph(17), complete_bipartite_graph(17, {1})],
+                role="basis")
+    assert run("verify", "--pred", "hamcycle", "--stats", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: n=17 exceeds the Hamiltonicity cap 16; "
+                            "raise it with set_hamiltonian_cap\n")
+
+
 def test_malformed_not_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

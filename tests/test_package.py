@@ -127,12 +127,16 @@ FOOTPRINTS = {
                           "graphcodes.factorization"}),
     "verify": (["verify", "--pred", "connected", "{family}"],
                FAMILIES | {"graphcodes.predicates", "graphcodes.verify"}),
-    # a span decided from the truth table loads its formulas; hamcycle stays
-    # on the per-member kernel and does not
+    # a span decided from the truth table loads its formulas, and so does a
+    # cover, for its slot columns; oddcycle stays on the per-member kernel
+    # and does not
     "verify-table": (["verify", "--pred", "connected", "{basis}"],
                      FAMILIES | {"graphcodes.predicates", "graphcodes.verify",
                                  "graphcodes.bitslice"}),
-    "verify-kernel": (["verify", "--pred", "hamcycle", "{basis}"],
+    "verify-cover": (["verify", "--pred", "hamcycle", "{basis}"],
+                     FAMILIES | {"graphcodes.predicates", "graphcodes.verify",
+                                 "graphcodes.bitslice"}),
+    "verify-kernel": (["verify", "--pred", "oddcycle", "{basis}"],
                       FAMILIES | {"graphcodes.predicates",
                                   "graphcodes.verify"}),
     "search": (["search", "--pred", "k3", "--n", "4", "--mode", "good"],
@@ -165,7 +169,8 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
     if argv is not None:
         family = tmp_path / "fam.json"
         save_family(family, 4, [empty_graph(4), complete_graph(4)])
-        # a rank-2 span whose three members have Hamiltonian cycles
+        # a rank-2 span whose three members have Hamiltonian cycles (and so
+        # odd cycles: K_5, C_5 and its complement, again a 5-cycle)
         basis = tmp_path / "basis.json"
         save_family(basis, 5, [complete_graph(5), cycle_graph(5)],
                     role="basis")

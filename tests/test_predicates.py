@@ -34,7 +34,7 @@ from graphcodes.constructions import k3_family_5, star_family, starter_factoriza
 from graphcodes.bitslice import edge_matrix, slot_columns
 from graphcodes.linalg import gf2_ordered_basis, ordered_span
 from graphcodes.core import adjacency_masks
-from graphcodes.oracles import oracle_vertex_connectivity
+from graphcodes.oracles import oracle_check, oracle_vertex_connectivity
 
 
 def pad(g, n):
@@ -659,3 +659,49 @@ def test_slot_columns_mark_the_masks_with_each_bit_set():
         assert slot_columns(width) == tuple(
             sum(1 << i for i in range(1 << width) if i >> e & 1)
             for e in range(width))
+
+
+# ---------------------------------------------------------------------------
+# witnesses of the monotone kinds (the cover path of linear verification)
+
+WITNESS_PREDS = (P.HAMPATH, P.HAMCYCLE, P.K3,
+                 P.contains(path_graph(4), "sub:P4"))
+
+
+def test_only_the_monotone_kinds_have_witnesses():
+    assert {name for name, kind in P._KINDS.items()
+            if kind.witness is not None} == {"hampath", "hamcycle", "contains"}
+    assert P._KINDS["contains-induced"].witness is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(WITNESS_PREDS), st.integers(3, 8),
+       st.sampled_from((0.2, 0.35, 0.5, 0.7)), st.randoms(use_true_random=False))
+def test_witness_is_a_passing_subgraph_exactly_when_the_oracle_holds(
+        pred, n, density, rng):
+    bits = random_bits(n, density, rng)
+    w = P._KINDS[pred.kind].witness(pred, n, bits)
+    holds = oracle_check(pred, LabeledGraph(n, bits))
+    assert (w is not None) == holds == pred.test_mask(n, bits)
+    if holds:
+        assert w & ~bits == 0
+        assert oracle_check(pred, LabeledGraph(n, w))
+        # exactly a Hamiltonian path or cycle, or one placement's edges
+        if pred.pattern is None:
+            assert w.bit_count() == n - (pred.kind == "hampath")
+        else:
+            assert w.bit_count() == pred.pattern.bits.bit_count()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WITNESS_PREDS), st.integers(3, 8),
+       st.sampled_from((0.2, 0.35, 0.5, 0.7)), st.randoms(use_true_random=False))
+def test_monotone_kinds_hold_on_every_supergraph(pred, n, density, rng):
+    # adding any edge to a passing graph never makes it fail, which is what
+    # lets one witness decide every span member that contains it
+    bits = random_bits(n, density, rng)
+    if not oracle_check(pred, LabeledGraph(n, bits)):
+        return
+    for s in range(edge_slots(n)):
+        if not bits >> s & 1:
+            assert oracle_check(pred, LabeledGraph(n, bits | 1 << s)), s

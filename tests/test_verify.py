@@ -10,6 +10,7 @@ from graphcodes import (
     complete_bipartite_graph,
     complete_graph,
     cross_difference_distinct,
+    cycle_graph,
     empty_graph,
     verify_dual_family,
     verify_dual_sampled,
@@ -299,9 +300,11 @@ def test_predicate_calls_count_distinct_differences():
 
 def test_linear_and_sampled_report_their_calls():
     rep = verify_linear_family(C.k3_family_5(), P.K3)
-    assert rep.method == "linear" and rep.predicate_calls == 15
+    assert rep.method == "cover" and rep.predicate_calls == 8
     rep = verify_linear_family(C.codd_family_7(), P.ODDCYCLE)
     assert rep.method == "table" and rep.predicate_calls == 1
+    rep = verify_linear_family(C.k3_family_5(), P.THREE_CONNECTED)
+    assert rep.method == "linear" and rep.predicate_calls == 1
     rep = verify_dual_sampled(C.dual_star_implicit(6), P.STAR, pairs=30)
     assert rep.method == "sampled" and rep.predicate_calls == 30
 
@@ -337,15 +340,21 @@ def verdict(rep):
 
 def assert_matches_member_loop(fam, pred):
     """The verdict fields equal the member loop's; the method's own counter
-    is pinned: the kernel scan tests every member up to the witness, the
-    table path evaluates one table per block of 2^16 members."""
+    is pinned or bounded: the kernel scan tests every member up to the
+    witness, the table path evaluates one table per block of 2^16 members,
+    and the cover searches a witness for at most as many members as the
+    kernel scan tests."""
     rep = verify_linear_family(fam, pred)
     ref = member_loop_linear(fam, pred)
     assert verdict(rep) == verdict(ref), (fam.n, pred.name)
     if rep.method == "table":
         assert rep.predicate_calls == 1 and fam.rank <= 16
+    elif rep.method == "cover":
+        assert P._KINDS[pred.kind].witness is not None
+        assert rep.predicate_calls <= ref.predicate_calls
     else:
         assert rep.method == "linear"
+        assert P._KINDS[pred.kind].witness is None
         assert rep.predicate_calls == ref.predicate_calls
     return rep
 
@@ -357,16 +366,22 @@ def shipped_linear_families():
     yield from (C.k3_family_5(), C.k3_family_6(), C.codd_family_7())
 
 
+# (family, predicate) pairs of the shipped spans that take the cover: every
+# hampath, hamcycle and k3 pair that the table does not take
+COVERS = 27
+
+
 def test_linear_reports_match_member_loop_on_shipped_constructions():
-    compared = failed = tables = 0
+    compared = failed = tables = covers = 0
     for fam in shipped_linear_families():
         for pred in NAMED_PREDICATES:
             rep = assert_matches_member_loop(fam, pred)
             compared += 1
             failed += not rep.passed
             tables += rep.method == "table"
+            covers += rep.method == "cover"
     assert compared == 99 and 0 < failed < compared
-    assert tables == 43
+    assert tables == 43 and covers == COVERS
 
 
 @st.composite
@@ -392,24 +407,57 @@ def test_linear_reports_match_member_loop_on_drawn_spans(fam):
 
 
 def test_linear_calls_past_the_memo_cap():
-    # a rank-4 span on 5 vertices whose first member without a Hamiltonian
-    # path in sorted order comes late; past the memo the kernel scan's
-    # witness scan re-tests members (hampath stays on the kernel scan)
+    # a rank-4 span on 5 vertices whose first member without an induced P3
+    # in sorted order comes late; past the memo the kernel scan's witness
+    # scan re-tests members (indsub has no witness, so it stays on the
+    # kernel scan)
+    pred = SHIPPED_PREDICATES[-1]
     rng = random.Random(3)
     while True:
         fam = LinearFamily(5, tuple(LabeledGraph(5, rng.getrandbits(10))
                                     for _ in range(4)))
-        ref = member_loop_linear(fam, P.HAMPATH)
+        ref = member_loop_linear(fam, pred)
         if fam.rank == 4 and not ref.passed and ref.pairs_checked >= 6:
             break
     i = ref.pairs_checked
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(V, "MEMO_CAP", 3)
-        rep = verify_linear_family(fam, P.HAMPATH)
+        rep = verify_linear_family(fam, pred)
     assert (rep.passed, rep.witness, rep.pairs_checked, rep.method) == \
         (ref.passed, ref.witness, ref.pairs_checked, ref.method)
     assert rep.predicate_calls == 2 * i - 3
-    assert verify_linear_family(fam, P.HAMPATH) == ref
+    assert verify_linear_family(fam, pred) == ref
+
+
+def test_cover_checks_the_hamiltonicity_cap():
+    # the cover calls the witness search directly, so n is checked against
+    # the cap before the first witness is asked for
+    fam = LinearFamily(17, (complete_graph(17), cycle_graph(17)))
+
+    def searched(*args):
+        raise AssertionError("a witness was searched past the cap")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(P._KINDS, "hamcycle",
+                   P._KINDS["hamcycle"]._replace(witness=searched))
+        with pytest.raises(CapabilityError, match="Hamiltonicity cap 16"):
+            verify_linear_family(fam, P.HAMCYCLE)
+    P.set_hamiltonian_cap(17)
+    try:
+        rep = verify_linear_family(fam, P.HAMCYCLE)
+    finally:
+        P.set_hamiltonian_cap(P.DEFAULT_HAMILTONIAN_CAP)
+    assert rep.passed and rep.method == "cover" and rep.predicate_calls == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(linear_families())
+def test_induced_containment_never_takes_the_cover(fam):
+    # an induced pattern is not monotone: a supergraph of a witness may
+    # lose the induced copy, so indsub has no witness to cover with
+    for pattern in (LabeledGraph(3, 0b011), empty_graph(3), complete_graph(3)):
+        rep = verify_linear_family(fam, P.contains_induced_pred(pattern))
+        assert rep.method in ("table", "linear")
 
 
 def test_table_path_walks_blocks_until_the_first_failure(monkeypatch):
@@ -439,17 +487,21 @@ def test_table_path_walks_blocks_until_the_first_failure(monkeypatch):
 # hampath one of exact-search): (predicate, family, method, predicate_calls,
 # pairs_checked).  The table is used when its formula's estimated big-int
 # operations are at most 2^min(rank, 16) * C(n, 2); kconn:4 on h4 misses that
-# by 576 * 15^2 = 129,600 against 2^10 * 105 = 107,520.
+# by 576 * 15^2 = 129,600 against 2^10 * 105 = 107,520.  The Hamiltonicity
+# spans miss it too and take the cover: each nonzero member of hc14 (hp13) is
+# a union of at least two of 13 (truncated) perfect matchings, any two of
+# which form a Hamiltonian cycle (path), so the C(13, 2) = 78 witnesses that
+# are such pairs decide all 4,095 members.
 SPAN_CERTIFY_JOBS = (
     ("3conn", lambda: C.hamming_bipartite_family(4), "table", 1, 1023),
-    ("hamcycle", lambda: C.ham_cycle_family(14), "linear", 4095, 4095),
+    ("hamcycle", lambda: C.ham_cycle_family(14), "cover", 78, 4095),
     ("2conn", lambda: C.ham_cycle_family(14), "table", 1, 4095),
-    ("hampath", lambda: C.ham_path_family(13), "linear", 4095, 4095),
+    ("hampath", lambda: C.ham_path_family(13), "cover", 78, 4095),
     ("connected", lambda: C.ham_path_family(13), "table", 1, 4095),
     ("oddcycle", C.codd_family_7, "table", 1, 511),
     ("k3", C.k3_family_6, "table", 1, 63),
     ("kconn:4", lambda: C.hamming_bipartite_family(4), "linear", 1, 1),
-    ("hampath", lambda: C.ham_path_family(5), "linear", 15, 15),
+    ("hampath", lambda: C.ham_path_family(5), "cover", 10, 15),
 )
 
 
