@@ -42,6 +42,19 @@ def slot_columns(width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def translate(x: int, g: int, width: int) -> int:
+    """The bitset ``x`` over the 2^width masks translated by mask ``g``: bit
+    m of the result is bit m ^ g of x.  Each set bit s of g swaps the blocks
+    of 2^s bits whose masks differ in slot s."""
+    cols = slot_columns(width)
+    while g:
+        s = (g & -g).bit_length() - 1
+        w, high = 1 << s, cols[s]
+        x = (x & high) >> w | (x & ~high) << w
+        g &= g - 1
+    return x
+
+
 def slot_matrix(n: int, block: int, width: int,
                 rows=None) -> tuple[list[int], int]:
     """(col, ones) for the 2^width masks of block ``block``: mask i of the

@@ -33,6 +33,8 @@ class SearchResult:
 
     optimum: int
     certificate: GraphFamily
+    # budget nodes spent: branch-and-bound nodes expanded in compatibility
+    # searches, candidate-set blocks built in linear ones
     explored: int
     status: str  # "exact" | "timeout"
     rank: int | None = None
@@ -72,24 +74,14 @@ class _Budget:
             time.perf_counter() + time_ms / 1000.0 if time_ms is not None else None
         )
 
-    def spend(self, count: int = 1) -> None:
-        """Count ``count`` expanded nodes, as ``count`` single steps would:
-        the node that would exceed the budget raises instead and is not
-        counted, the ones before it are.  The deadline is read at the nodes
-        whose count is a multiple of 1024 (once per call), and a passed
-        deadline stops the count just before the first of them."""
-        nodes = self.nodes + count
-        if nodes > self.limit:
-            self.nodes = self.limit
-            raise _BudgetExhausted
-        if (
-            self.deadline is not None
-            and nodes >> 10 != self.nodes >> 10
-            and time.perf_counter() > self.deadline
+    def spend(self) -> None:
+        """Count one expanded node.  The node that would exceed the budget,
+        or start past the deadline, raises instead and is not counted."""
+        if self.nodes >= self.limit or (
+            self.deadline is not None and time.perf_counter() > self.deadline
         ):
-            self.nodes |= 1023
             raise _BudgetExhausted
-        self.nodes = nodes
+        self.nodes += 1
 
 
 def _max_clique(
@@ -198,16 +190,13 @@ def _translated_rows(n: int, table: int) -> list[int]:
     That row is the table translated by c (bit m set iff bit m ^ c is) and
     masked with the table: the graph is a Cayley graph of Z_2^C(n,2).  The
     translates are produced in Gray-code order of c, each from the one
-    before by swapping the blocks of width 2^s whose masks differ in bit s,
-    so every row costs a few big-int operations."""
+    before by ``bitslice.translate`` by the one bit the code flips, so every
+    row costs a few big-int operations."""
     slots = edge_slots(n)
-    cols = bitslice.slot_columns(slots)
     rows = [0] * (1 << slots)
     x = table
     for k in range(1, len(rows)):
-        s = (k & -k).bit_length() - 1  # the Gray code flips bit s at step k
-        w, high = 1 << s, cols[s]
-        x = (x & high) >> w | (x & ~high) << w
+        x = bitslice.translate(x, k & -k, slots)
         c = k ^ (k >> 1)
         if table >> c & 1:
             rows[c] = x & table
@@ -326,29 +315,6 @@ def max_dual_family(
     return _compatibility_search(n, pred, False, budget_nodes, time_ms, "dual")
 
 
-class _VerdictBlocks(dict):
-    """The masks in blocks of 2^width: ``blocks[b][i]`` is "1" iff mask
-    b << width | i satisfies the predicate.  Each block is classified from
-    the predicate's truth table on first use, and ``seconds`` sums the time
-    that takes.  The empty graph is never a candidate: a basis vector g
-    inside the span puts it into span + g, and g is refused even where the
-    predicate holds on the empty graph."""
-
-    def __init__(self, n: int, pred: Predicate, width: int):
-        super().__init__()
-        self.n, self.pred, self.width = n, pred, width
-        self.seconds = 0.0
-
-    def __missing__(self, b: int) -> str:
-        t = time.perf_counter()
-        table = self.pred.table(self.n, b, self.width)
-        if b == 0:
-            table &= ~1
-        verdicts = self[b] = format(table, f"0{1 << self.width}b")[::-1]
-        self.seconds += time.perf_counter() - t
-        return verdicts
-
-
 def linear_rank_bound(pred: Predicate, n: int) -> int | None:
     """A proven cap on the rank of a linear family for this predicate, where
     one is known; used to stop the basis search early.  The named predicates
@@ -372,13 +338,28 @@ def max_linear_family(
     """Depth-first search for the largest-rank family closed under symmetric
     difference whose nonzero members all satisfy the predicate.
 
-    Bases grow in ascending edge-vector order; a basis extension by g is
-    admitted when every element of span + g satisfies the predicate.  Where a
-    theorem caps the achievable rank, reaching the cap proves optimality."""
+    A node is a subspace V with its candidate set C_V = {x : x ^ v satisfies
+    the predicate for every v in V}, so V + g is admissible exactly when g
+    lies in C_V, and C_{V+g} = C_V & (C_V translated by g).  C_V is kept in
+    blocks of 2^``bitslice.BLOCK_WIDTH`` masks, each built on first read:
+    at the root from the truth table, without the empty graph (so no g lies
+    inside V), below it from two blocks of the parent.  The next generator
+    is the least candidate above the last one that is clear at every pivot
+    (highest bit) of V's generators, the least element of g + V: each
+    subspace is reached once, through its basis reduced on highest bits,
+    and the first one reached at each rank is the one the search over every
+    ascending basis found.  A generator whose pivot leaves too few slots
+    above it to beat the best rank ends the node.  Where a theorem caps the
+    achievable rank, reaching the cap proves optimality.
+
+    ``explored`` counts the blocks built, one budget node each at every n,
+    so a budgeted search stops at other incumbents than the mask-probing
+    search it replaced."""
     if n > LINEAR_LIMIT:
         raise CapabilityError(f"linear search is limited to n <= {LINEAR_LIMIT}")
     if n < 2:
         raise DomainError("need n >= 2")
+    pred._domain(n)
     slots = edge_slots(n)
     cap = linear_rank_bound(pred, n)
     if max_rank is not None:
@@ -387,64 +368,65 @@ def max_linear_family(
         cap = slots
     budget = _Budget(budget_nodes, time_ms)
     began = time.perf_counter()
-    # blocks of 2^BLOCK_WIDTH, so a budgeted search at n = 8 builds only the
-    # blocks it reaches
     width = min(slots, bitslice.BLOCK_WIDTH)
-    low = (1 << width) - 1
-    top = 1 << slots
-    blocks = _VerdictBlocks(n, pred, width)
-    blocks[0]  # checks n against the predicate's domain before any search
-    frontier = 1  # every mask below it has been probed
+    cols = bitslice.slot_columns(width)
+    classify = 0.0
 
-    def next_candidate(at_least: int) -> int | None:
-        # the least satisfying mask >= at_least; each mask probed past the
-        # frontier costs one node, spent a block at a time
-        nonlocal frontier
-        m = at_least
-        while m < top:
-            b = m >> width
-            i = blocks[b].find("1", m & low)
-            end = (b + 1) << width if i < 0 else (b << width | i) + 1
-            if end > frontier:
-                budget.spend(end - frontier)
-                frontier = end
-            if i >= 0:
-                return end - 1
-            m = end
-        return None
+    def root(b: int) -> int:
+        nonlocal classify
+        t = time.perf_counter()
+        x = pred.table(n, b, width)
+        classify += time.perf_counter() - t
+        return x & ~1 if b == 0 else x
 
-    best_basis: list[int] = []
-    done = False
+    def node(parent, g: int):
+        # C_{V+g} from the parent's C_V (the root's without a parent)
+        built: dict[int, int] = {}
+        high, shift = g >> width, g & (1 << width) - 1
 
-    def extend(basis: list[int], span: list[int], start: int) -> None:
-        nonlocal best_basis, done
-        if len(basis) > len(best_basis):
-            best_basis = basis.copy()
-            if len(best_basis) >= cap:
-                done = True
-                return
-        if len(basis) + 1 > cap:
+        def block(b: int) -> int:
+            if b not in built:
+                budget.spend()
+                built[b] = root(b) if parent is None else parent(b) & \
+                    bitslice.translate(parent(b ^ high), shift, width)
+            return built[b]
+
+        return block
+
+    best: list[int] = []
+
+    def extend(basis: list[int], cands, start: int) -> None:
+        nonlocal best
+        if len(basis) > len(best):
+            best = basis.copy()
+            if len(best) >= cap:
+                raise _CapReached
+        if len(basis) >= cap:
             return
-        at_least = start
-        while not done:
-            g = next_candidate(at_least)
-            if g is None:
-                return
-            at_least = g + 1
-            budget.spend()
-            for s in span:
-                x = s ^ g
-                if blocks[x >> width][x & low] != "1":
-                    break
-            else:
-                extend(basis + [g], span + [s ^ g for s in span], g + 1)
+        pivots = sum(1 << g.bit_length() - 1 for g in basis)
+        keep = -1  # the masks of a block clear at every low pivot
+        for p in range(width):
+            if pivots >> p & 1:
+                keep &= ~cols[p]
+        for b in range(start >> width, 1 << slots - width):
+            if b & pivots >> width:
+                continue  # a high pivot is set throughout the block
+            x = cands(b) & keep & -1 << max(start - (b << width), 0)
+            while x:
+                g = b << width | (x & -x).bit_length() - 1
+                if len(basis) + 1 + slots - g.bit_length() <= len(best):
+                    return  # so does every later g
+                extend(basis + [g], node(cands, g), g + 1)
+                x &= x - 1
 
     status = "exact"
     try:
-        extend([], [0], 1)
+        extend([], node(None, 0), 1)
     except _BudgetExhausted:
         status = "timeout"
-    rows = gf2_ordered_basis(best_basis)
+    except _CapReached:
+        pass
+    rows = gf2_ordered_basis(best)
     masks = ordered_span(rows)
     certificate = GraphFamily(
         n,
@@ -458,6 +440,6 @@ def max_linear_family(
         explored=budget.nodes,
         status=status,
         rank=len(rows),
-        phase_seconds={"classify": blocks.seconds,
-                       "basis": time.perf_counter() - began - blocks.seconds},
+        phase_seconds={"classify": classify,
+                       "basis": time.perf_counter() - began - classify},
     )

@@ -10,8 +10,8 @@ deterministic witness and the scan stops there.  A linear family is such a
 span: its sorted nonzero members are decided a block at a time from the
 predicate's truth table over the span where that formula is cheaper than
 one kernel call per member; else, for a monotone predicate, by a cover of
-witnesses, each deciding every member that contains it; and through the
-pairwise engine otherwise.
+witnesses, each deciding every member that contains it; and one kernel
+call per member otherwise.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ class VerifyReport:
     span members instead of pairs, and its witness is (0, i) for the first
     failing member i of the sorted span.  ``method`` names the engine path
     ("coset", "memoized", "linear", "table", "cover" or "sampled"; a
-    failing coset or "linear" span still finds its witness by the memoized
-    scan) and ``predicate_calls`` counts the predicate evaluations: kernel
-    calls, on the "table" path the truth tables evaluated, one per block of
-    up to 2^16 span members, and on the "cover" path the witness
-    searches."""
+    failing coset still finds its witness by the memoized scan) and
+    ``predicate_calls`` counts the predicate evaluations: kernel calls, on
+    the "table" path the truth tables evaluated, one per block of up to
+    2^16 span members, and on the "cover" path the witness searches."""
 
     passed: bool
     mode: str
@@ -83,10 +82,7 @@ def _scan_pairs(
 
     ``diffs`` is every nonzero pairwise difference of ``masks`` or None when
     that set is not known; each one is tested once, and if all pass the
-    family passes.  Otherwise the lexicographic pair scan finds the witness.
-    n is checked against the predicate's domain first, so a scan that tests
-    nothing (a rank-0 span) cannot pass outside it."""
-    pred._domain(n)
+    family passes.  Otherwise the lexicographic pair scan finds the witness."""
     test = pred.test_mask
     verdicts: dict[int, bool] = {}
     calls = 0
@@ -117,19 +113,6 @@ def _scan_pairs(
     return None, calls
 
 
-def _report(
-    n: int, masks: list[int], failure: tuple[int, int] | None, mode: str,
-    method: str, calls: int, passed_count: int,
-) -> VerifyReport:
-    if failure is None:
-        return VerifyReport(True, mode, passed_count, None, method, calls)
-    i, j = failure
-    return VerifyReport(
-        False, mode, _pair_rank(i, j, len(masks)),
-        ((i, j), LabeledGraph(n, masks[i] ^ masks[j])), method, calls,
-    )
-
-
 def _run_pairwise(
     fam: GraphFamily, pred: Predicate, expect: bool, mode: str
 ) -> VerifyReport:
@@ -143,7 +126,12 @@ def _run_pairwise(
     except CapabilityError as exc:
         raise CapabilityError(f"{exc} (while verifying {m} graphs)") from exc
     method = "memoized" if diffs is None else "coset"
-    return _report(fam.n, masks, failure, mode, method, calls, m * (m - 1) // 2)
+    if failure is None:
+        return VerifyReport(True, mode, m * (m - 1) // 2, None, method, calls)
+    i, j = failure
+    return VerifyReport(False, mode, _pair_rank(i, j, m),
+                        ((i, j), LabeledGraph(fam.n, masks[i] ^ masks[j])),
+                        method, calls)
 
 
 def verify_family(fam: GraphFamily, pred: Predicate) -> VerifyReport:
@@ -249,11 +237,9 @@ def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:
     - a monotone predicate (one whose kind has a witness) takes the cover
       of ``_cover_scan`` (method "cover"), and ``predicate_calls`` counts
       the witnesses searched, at most i;
-    - otherwise the pairwise engine runs with the members as the difference
-      set, since the differences of a span are exactly its nonzero members
-      (method "linear"), and ``predicate_calls`` is i too; only when i lies
-      beyond ``MEMO_CAP`` is it 2i - MEMO_CAP, because the witness scan
-      re-tests the members past the memo."""
+    - otherwise the members, which are exactly the span's differences, are
+      tested in order, one kernel call each (method "linear"), and
+      ``predicate_calls`` is i too."""
     fam.check_span_budget()
     kind = pred._domain(fam.n)
     width = _table_width(fam.n, fam.rank, kind.ops(pred, fam.n))
@@ -261,10 +247,18 @@ def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:
         return _table_scan(fam, pred, width)
     if kind.witness is not None:
         return _cover_scan(fam, pred, kind.witness)
-    masks = fam.span_masks()
-    failure, calls = _scan_pairs(fam.n, masks, masks[1:], pred, True)
-    return _report(fam.n, masks, failure, "linear", "linear", calls,
-                   len(masks) - 1)
+    # member hi << half | lo is the XOR of the high rows' span element hi
+    # and the low rows' element lo, so the span is walked without a list
+    n, rows, half = fam.n, fam.rows, fam.rank // 2
+    low = ordered_span(rows[:half])
+    members = (top ^ m for top in ordered_span(rows[half:]) for m in low)
+    next(members)  # the empty graph
+    for i, member in enumerate(members, 1):
+        if not pred.test_mask(n, member):
+            return VerifyReport(False, "linear", i,
+                                ((0, i), LabeledGraph(n, member)), "linear", i)
+    last = (1 << fam.rank) - 1
+    return VerifyReport(True, "linear", last, None, "linear", last)
 
 
 def verify_dual_sampled(

@@ -31,7 +31,7 @@ from graphcodes import (
 )
 from graphcodes import predicates as P
 from graphcodes.constructions import k3_family_5, star_family, starter_factorization
-from graphcodes.bitslice import edge_matrix, slot_columns
+from graphcodes.bitslice import edge_matrix, slot_columns, translate
 from graphcodes.linalg import gf2_ordered_basis, ordered_span
 from graphcodes.core import adjacency_masks
 from graphcodes.oracles import oracle_check, oracle_vertex_connectivity
@@ -659,6 +659,16 @@ def test_slot_columns_mark_the_masks_with_each_bit_set():
         assert slot_columns(width) == tuple(
             sum(1 << i for i in range(1 << width) if i >> e & 1)
             for e in range(width))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_translate_moves_bit_m_xor_g_to_bit_m(data):
+    width = data.draw(st.integers(0, 10), label="width")
+    x = data.draw(st.integers(0, (1 << (1 << width)) - 1), label="x")
+    g = data.draw(st.integers(0, (1 << width) - 1), label="g")
+    assert translate(x, g, width) == sum(
+        1 << m for m in range(1 << width) if x >> (m ^ g) & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -8,6 +9,8 @@ from graphcodes import bounds
 from graphcodes import constructions as C
 from graphcodes import predicates as P
 from graphcodes import search as S
+from graphcodes.core import edge_slots
+from graphcodes.linalg import gf2_ordered_basis, ordered_span
 from graphcodes.verify import verify_dual_family, verify_family
 
 
@@ -81,32 +84,6 @@ def test_explored_counts_expanded_nodes_only():
     assert S.max_linear_family(5, P.K3, budget_nodes=10).explored == 10
 
 
-def test_bulk_spend_counts_as_single_steps():
-    def outcome(budget, steps):
-        try:
-            steps(budget)
-        except S._BudgetExhausted:
-            return True, budget.nodes
-        return False, budget.nodes
-
-    def single(count):
-        def steps(budget):
-            for _ in range(count):
-                budget.spend()
-        return steps
-
-    for limit, time_ms in ((0, None), (5, None), (1024, None), (3000, None),
-                           (None, 0)):
-        for start, count in ((0, 1), (0, 1500), (1000, 50), (1023, 1),
-                             (1024, 1), (2047, 2000)):
-            sides = []
-            for steps in (single(count), lambda b: b.spend(count)):
-                budget = S._Budget(limit, time_ms)
-                budget.nodes = start if limit is None else min(start, limit)
-                sides.append(outcome(budget, steps))
-            assert sides[0] == sides[1], (limit, time_ms, start, count)
-
-
 def test_max_linear_small():
     r = S.max_linear_family(3, P.K3)
     assert (r.rank, r.optimum, r.status) == (1, 2, "exact")
@@ -168,27 +145,29 @@ def test_linear_search_answers_classified_masks_from_its_cache(monkeypatch):
 
     monkeypatch.setattr(P.Predicate, "test_mask", refuse)
     r = S.max_linear_family(6, P.CONNECTED)
-    assert (r.rank, r.optimum, r.status, r.explored) == (5, 32, "exact", 30_433)
+    assert (r.rank, r.optimum, r.status, r.explored) == (5, 32, "exact", 5)
     assert S.max_good_family(4, P.HAMPATH).status == "exact"
     assert S.max_dual_family(4, P.STAR).status == "exact"
 
 
-K3_N5_RANK3 = [0, 7, 57, 62, 450, 453, 507, 508]
+# the ordered bases that budgeted searches reach: connected at n=8 has no
+# connected graph in its first 32 blocks (vertex 8 is isolated there)
+CONNECTED_N8_ROWS = [2131019, 4262037, 8524070, 17048120, 34096064, 68189184]
+K3_N7_ROWS = [7, 57, 450, 3728, 12888, 119872, 414745, 1589248]
 
 
 @pytest.mark.parametrize("limit, connected_masks, k3_masks", (
-    (1, [0], [0]),
-    (10, [0], [0, 7]),
-    (1_000, [0], K3_N5_RANK3),
-    (20_000, [0, 1099, 2197, 3294, 4390, 5485, 6579, 7672, 8760, 9843,
-              10925, 12006, 13086, 14165, 15243, 16320], K3_N5_RANK3),
+    (1, [0], [0, 7]),
+    (10, [0], ordered_span(K3_N7_ROWS[:5])),
+    (1_000, ordered_span(CONNECTED_N8_ROWS[:5]), ordered_span(K3_N7_ROWS)),
+    (5_000, ordered_span(CONNECTED_N8_ROWS), ordered_span(K3_N7_ROWS)),
 ))
 def test_budgeted_linear_search_stops_at_its_limit(limit, connected_masks,
                                                    k3_masks):
-    # the scan spends one node per probed mask, a block at a time, and
-    # stops at exactly the limit; values as when it probed mask by mask
-    for n, pred, masks in ((6, P.CONNECTED, connected_masks),
-                           (5, P.K3, k3_masks)):
+    # the search spends one node per block it builds and stops at exactly
+    # the limit
+    for n, pred, masks in ((8, P.CONNECTED, connected_masks),
+                           (7, P.K3, k3_masks)):
         r = S.max_linear_family(n, pred, budget_nodes=limit)
         assert (r.explored, r.status, r.certificate.masks()) == \
             (limit, "timeout", masks)
@@ -211,9 +190,9 @@ def test_linear_search_refuses_a_basis_vector_inside_the_span():
     # reporting exact: rank 3 at n=4 after 19 nodes, rank 4 at n=5
     pred = P.contains_induced_pred(empty_graph(3), "indsub:edgeless-3")
     r = S.max_linear_family(4, pred)
-    assert (r.rank, r.optimum, r.status, r.explored) == (3, 8, "exact", 1_861)
+    assert (r.rank, r.optimum, r.status, r.explored) == (3, 8, "exact", 19)
     r = S.max_linear_family(5, pred, budget_nodes=200)
-    assert (r.rank, r.optimum, r.status) == (6, 64, "timeout")
+    assert (r.rank, r.optimum, r.status) == (7, 128, "timeout")
     assert verify_family(r.certificate, pred).passed
 
 
@@ -357,15 +336,89 @@ def test_wrong_theorem_row_is_an_internal_error(monkeypatch):
     assert S.max_good_family(4, P.HAMPATH, budget_nodes=2).status == "timeout"
 
 
-@pytest.mark.slow
 def test_linear_3conn_n7_matches_hamming_rank():
-    # ~5 seconds single-core: classifies the 2^21 masks in 32 truth-table
-    # blocks, then grows bases up to the proven rank cap
+    # classifies the 2^21 masks in 32 truth-table blocks, then grows bases
+    # up to the proven rank cap
     result = S.max_linear_family(7, P.THREE_CONNECTED)
-    assert (result.status, result.explored) == ("exact", 5_504_134)
+    assert (result.status, result.explored) == ("exact", 119)
     assert result.rank == 3
     assert result.optimum == 8
     assert verify_family(result.certificate, P.THREE_CONNECTED).passed
+
+
+def test_linear_connected_n8_reaches_its_rank_cap():
+    result = S.max_linear_family(8, P.CONNECTED)
+    assert (result.status, result.rank, result.explored) == ("exact", 7, 5_549)
+    assert verify_family(result.certificate, P.CONNECTED).passed
+
+
+def test_linear_time_budget_holds_at_n8():
+    # every block is a budget node, so the deadline is read between blocks
+    began = time.perf_counter()
+    result = S.max_linear_family(8, P.THREE_CONNECTED, time_ms=1000)
+    assert result.status == "timeout"
+    assert time.perf_counter() - began < 3
+
+
+class _RankCapReached(Exception):
+    pass
+
+
+def reference_max_linear_family(n, pred):
+    """(certificate masks, rank, status) of the basis search that the
+    candidate-set search replaced, without its budget: bases grow in
+    ascending mask order, and g extends a basis when every member of
+    span + g satisfies the predicate, so a subspace is reached once per
+    ascending basis of it."""
+    cap = S.linear_rank_bound(pred, n)
+    if cap is None:
+        cap = edge_slots(n)
+    slots = edge_slots(n)
+    verdicts = format(pred.table(n) & ~1, f"0{1 << slots}b")[::-1]
+    best = []
+
+    def extend(basis, span, start):
+        nonlocal best
+        if len(basis) > len(best):
+            best = basis.copy()
+            if len(best) >= cap:
+                raise _RankCapReached
+        if len(basis) >= cap:
+            return
+        g = verdicts.find("1", start)
+        while g >= 0:
+            if all(verdicts[s ^ g] == "1" for s in span):
+                extend(basis + [g], span + [s ^ g for s in span], g + 1)
+            g = verdicts.find("1", g + 1)
+
+    try:
+        extend([], [0], 1)
+    except _RankCapReached:
+        pass
+    rows = gf2_ordered_basis(best)
+    return ordered_span(rows), len(rows), "exact"
+
+
+def _linear_reference_cases():
+    for pred in NAMED:
+        for n in range(3 if pred is P.HAMCYCLE else 2, 6):
+            yield pytest.param(pred, n, id=f"{pred.name}-{n}")
+    for pred in (P.CONNECTED, P.TWO_CONNECTED, P.THREE_CONNECTED, P.HAMPATH,
+                 P.STAR):
+        yield pytest.param(pred, 6, id=f"{pred.name}-6")
+    # the reference takes about 4 s (k3, oddcycle) and 40 s (hamcycle)
+    for pred in (P.K3, P.ODDCYCLE, P.HAMCYCLE):
+        yield pytest.param(pred, 6, id=f"{pred.name}-6",
+                           marks=[pytest.mark.slow])
+    pred = P.contains_induced_pred(empty_graph(3), "indsub:edgeless-3")
+    yield pytest.param(pred, 4, id=f"{pred.name}-4")
+
+
+@pytest.mark.parametrize("pred, n", _linear_reference_cases())
+def test_linear_search_matches_the_reference(pred, n):
+    r = S.max_linear_family(n, pred)
+    assert (r.certificate.masks(), r.rank, r.status) == \
+        reference_max_linear_family(n, pred)
 
 
 # ---------------------------------------------------------------------------

@@ -405,9 +405,9 @@ def test_linear_reports_match_member_loop_on_drawn_spans(fam):
 
 def test_linear_calls_past_the_memo_cap():
     # a rank-4 span on 5 vertices whose first member without an induced P3
-    # in sorted order comes late; past the memo the kernel scan's witness
-    # scan re-tests members (indsub has no witness, so it stays on the
-    # kernel scan)
+    # in sorted order comes late; the kernel scan keeps no memo, so past
+    # MEMO_CAP it still tests each member once (indsub has no witness, so
+    # it stays on the kernel scan)
     pred = SHIPPED_PREDICATES[-1]
     rng = random.Random(3)
     while True:
@@ -422,8 +422,21 @@ def test_linear_calls_past_the_memo_cap():
         rep = verify_linear_family(fam, pred)
     assert (rep.passed, rep.witness, rep.pairs_checked, rep.method) == \
         (ref.passed, ref.witness, ref.pairs_checked, ref.method)
-    assert rep.predicate_calls == 2 * i - 3
+    assert rep.predicate_calls == i
     assert verify_linear_family(fam, pred) == ref
+
+
+def test_kernel_scan_walks_the_span_without_listing_it(monkeypatch):
+    # the unit span of rank 20 on 12 vertices fails at its first member, a
+    # single edge; listing the span before the first test peaked at 67 MB
+    def refuse(self):
+        raise AssertionError("span_masks called")
+
+    monkeypatch.setattr(LinearFamily, "span_masks", refuse)
+    pred = P.contains_induced_pred(complete_graph(6), "indsub:K6")
+    fam = LinearFamily(12, tuple(LabeledGraph(12, 1 << s) for s in range(20)))
+    assert verify_linear_family(fam, pred) == V.VerifyReport(
+        False, "linear", 1, ((0, 1), LabeledGraph(12, 1)), "linear", 1)
 
 
 def test_cover_checks_the_hamiltonicity_cap():
