@@ -25,7 +25,7 @@ from .core import (
 from .errors import CapabilityError, DomainError, UnsupportedParameterError
 from .factorization import starter_factorization, verify_p1f
 from .family import ENUM_BUDGET, GraphFamily, ImplicitFamily
-from .linalg import LinearFamily, gf2_reduced_basis, gray_span
+from .linalg import LinearFamily, gf2_ordered_basis, ordered_span
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def hamming_code(k: int) -> tuple[int, list[int]]:
 def hamming_minimum_distance(k: int) -> int:
     """Minimum nonzero codeword weight, by scanning the full code."""
     _, basis = hamming_code(k)
-    return min(w.bit_count() for w in gray_span(gf2_reduced_basis(basis))[1:])
+    return min(w.bit_count() for w in ordered_span(gf2_ordered_basis(basis))[1:])
 
 
 def hamming_bipartite_family(k: int) -> LinearFamily:

@@ -1,9 +1,9 @@
 """GF(2) linear algebra on edge-space bit vectors.
 
 Families closed under symmetric difference are subspaces of GF(2)^C(n,2);
-this module computes ranks, reduced bases (pivot on the lowest or on the
-highest set slot), span membership, and deterministic span enumeration: in
-Gray-code order, or ascending from the highest-pivot basis.
+this module computes ranks, the reduced basis that pivots on each row's
+highest set slot, span membership, and the one span enumerator, which lists
+the span in ascending order from that basis.
 """
 
 from __future__ import annotations
@@ -17,15 +17,18 @@ from .family import GraphFamily
 SPAN_RANK_BUDGET = 26
 
 
-def _reduced_rows(masks, pivot) -> list[int]:
-    """Reduced row-echelon basis of the span, pivoting on the slot that
-    ``pivot`` picks from each row, rows sorted by pivot slot; every pivot
-    slot is set in its own row only."""
+def gf2_ordered_basis(masks) -> list[int]:
+    """Reduced basis of the span pivoting on each row's highest set slot,
+    rows in ascending pivot order; every pivot slot is set in its own row
+    only.  Member i of the sorted span is the XOR of the rows at the set
+    bits of i (``ordered_span``): where the coefficients of two members
+    first differ from the top, at row j, only row j holds its pivot slot and
+    every higher slot is equal, so the member with bit j set is the larger."""
     pivots: dict[int, int] = {}
     for mask in masks:
         cur = mask
         while cur:
-            p = pivot(cur)
+            p = cur.bit_length() - 1
             if p in pivots:
                 cur ^= pivots[p]
             else:
@@ -40,24 +43,8 @@ def _reduced_rows(masks, pivot) -> list[int]:
     return [pivots[p] for p in sorted(pivots)]
 
 
-def gf2_reduced_basis(masks) -> list[int]:
-    """Reduced basis of the span pivoting on each row's lowest set slot,
-    rows sorted by pivot slot."""
-    return _reduced_rows(masks, lambda x: (x & -x).bit_length() - 1)
-
-
-def gf2_ordered_basis(masks) -> list[int]:
-    """Reduced basis of the span pivoting on each row's highest set slot,
-    rows in ascending pivot order.  Member i of the sorted span is the XOR
-    of the rows at the set bits of i (``ordered_span``): where the
-    coefficients of two members first differ from the top, at row j, only
-    row j holds its pivot slot and every higher slot is equal, so the
-    member with bit j set is the larger."""
-    return _reduced_rows(masks, lambda x: x.bit_length() - 1)
-
-
 def gf2_rank(masks) -> int:
-    return len(gf2_reduced_basis(masks))
+    return len(gf2_ordered_basis(masks))
 
 
 def gf2_reduce(mask: int, ordered_rows) -> int:
@@ -71,17 +58,6 @@ def gf2_reduce(mask: int, ordered_rows) -> int:
 
 def gf2_in_span(mask: int, ordered_rows) -> bool:
     return gf2_reduce(mask, ordered_rows) == 0
-
-
-def gray_span(rows) -> list[int]:
-    """All 2^len(rows) elements of the span of independent rows, in Gray-code
-    order: element 0 is the empty graph and each next one flips one row."""
-    vals = [0] * (1 << len(rows))
-    cur = 0
-    for i in range(1, len(vals)):
-        cur ^= rows[(i & -i).bit_length() - 1]
-        vals[i] = cur
-    return vals
 
 
 def ordered_span(rows) -> list[int]:

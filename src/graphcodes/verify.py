@@ -1,17 +1,17 @@
 """Certification engine: is a family pairwise good (or dual) for a predicate?
 
-A family's verdict depends only on its set of distinct pairwise differences,
-so the pairwise engine tests each difference once.  When the members form an
-affine coset of a GF(2) subspace, the differences are exactly the nonzero
-span elements, which are enumerated directly.  Otherwise (or once a
-difference fails) index pairs (i, j), i < j, are walked in lexicographic
-order with a memo of verdicts per difference, so the first failing pair is a
-deterministic witness and the scan stops there.  A linear family is such a
-span: its sorted nonzero members are decided a block at a time from the
-predicate's truth table over the span where that formula is cheaper than
-one kernel call per member; else, for a monotone predicate, by a cover of
-witnesses, each deciding every member that contains it; and one kernel
-call per member otherwise.
+A family's verdict depends only on its set of distinct pairwise differences.
+A linear family's differences are its nonzero span members, and when an
+explicit family is an affine coset of a GF(2) subspace its differences are
+exactly the nonzero members of the span of its translates, so both are
+decided by one span decider over the sorted span of an ordered basis: a
+block at a time from the predicate's truth table where that formula is
+cheaper than one kernel call per member; else, for a monotone predicate on
+a good check, by a cover of witnesses, each deciding every member that
+contains it; and one kernel call per member otherwise.  Any other family,
+and a coset that fails, walks index pairs (i, j), i < j, in lexicographic
+order with a memo of verdicts per difference, so the first failing pair is
+a deterministic witness and the scan stops there.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .core import LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily, ImplicitFamily
-from .linalg import LinearFamily, gf2_reduced_basis, gray_span, ordered_span
+from .linalg import LinearFamily, gf2_ordered_basis, ordered_span
 from .predicates import Predicate
 
 MEMO_CAP = 1 << 18
@@ -37,12 +37,14 @@ class VerifyReport:
     with the offending symmetric difference; on failure ``pairs_checked``
     counts the pairs up to and including the witness.  A linear family counts
     span members instead of pairs, and its witness is (0, i) for the first
-    failing member i of the sorted span.  ``method`` names the engine path
-    ("coset", "memoized", "linear", "table", "cover" or "sampled"; a
-    failing coset still finds its witness by the memoized scan) and
-    ``predicate_calls`` counts the predicate evaluations: kernel calls, on
-    the "table" path the truth tables evaluated, one per block of up to
-    2^16 span members, and on the "cover" path the witness searches."""
+    failing member i of the sorted span.  ``method`` names the engine path:
+    "table", "cover" or "linear" (the kernel walk) for a span, which a coset
+    family takes too, "memoized" for any other explicit family, and
+    "sampled"; a failing coset then finds its witness by the memoized pair
+    scan.  ``predicate_calls`` counts the predicate evaluations: kernel
+    calls, on the "table" path the truth tables evaluated, one per block of
+    up to 2^16 span members, and on the "cover" path the witness searches;
+    a failing coset adds the kernel calls of its pair scan."""
 
     passed: bool
     mode: str
@@ -61,42 +63,26 @@ def _pair_rank(i: int, j: int, m: int) -> int:
     return i * (2 * m - i - 1) // 2 + (j - i)
 
 
-def _coset_differences(masks: list[int]) -> list[int] | None:
-    """The nonzero differences of a family that is an affine coset of a GF(2)
-    subspace, in Gray-code order; None when the family is not a coset.
-
-    Members are distinct, so they form a coset exactly when the translates
-    ``m ^ masks[0]`` span a space of size len(masks)."""
-    base = masks[0]
-    rows = gf2_reduced_basis(m ^ base for m in masks)
-    if 1 << len(rows) != len(masks):
-        return None
-    return gray_span(rows)[1:]
+def _member(rows, i: int) -> int:
+    """Member i of the span of ``rows``: the XOR of the rows at the set bits
+    of i, the i-th smallest when ``rows`` is a ``gf2_ordered_basis``."""
+    member = 0
+    for j, row in enumerate(rows):
+        if i >> j & 1:
+            member ^= row
+    return member
 
 
 def _scan_pairs(
-    n: int, masks: list[int], diffs: list[int] | None, pred: Predicate,
-    expect: bool,
+    n: int, masks: list[int], below: int, pred: Predicate, expect: bool,
 ) -> tuple[tuple[int, int] | None, int]:
-    """(first failing pair or None, predicate calls).
-
-    ``diffs`` is every nonzero pairwise difference of ``masks`` or None when
-    that set is not known; each one is tested once, and if all pass the
-    family passes.  Otherwise the lexicographic pair scan finds the witness."""
+    """(first failing pair or None, predicate calls) of the lexicographic
+    pair scan.  ``below`` is 0, or the smallest failing difference of a
+    coset family: every smaller difference passes and ``below`` fails, so
+    neither costs a call."""
     test = pred.test_mask
     verdicts: dict[int, bool] = {}
     calls = 0
-    if diffs is not None:
-        for d in diffs:
-            calls += 1
-            ok = test(n, d) == expect
-            if len(verdicts) < MEMO_CAP:
-                verdicts[d] = ok
-            if not ok:
-                break
-        else:
-            return None, calls
-    # lexicographic scan; a difference whose verdict is memoized costs no call
     m = len(masks)
     for i in range(m - 1):
         mi = masks[i]
@@ -104,8 +90,11 @@ def _scan_pairs(
             d = mi ^ masks[j]
             ok = verdicts.get(d)
             if ok is None:
-                calls += 1
-                ok = test(n, d) == expect
+                if d <= below:
+                    ok = d < below
+                else:
+                    calls += 1
+                    ok = test(n, d) == expect
                 if len(verdicts) < MEMO_CAP:
                     verdicts[d] = ok
             if not ok:
@@ -120,12 +109,22 @@ def _run_pairwise(
         raise DomainError("need at least 2 graphs to verify")
     masks = fam.masks()
     m = len(masks)
-    diffs = _coset_differences(masks)
+    # members are distinct, so they form a coset exactly when their
+    # translates span a space of size m
+    rows = gf2_ordered_basis(x ^ masks[0] for x in masks)
     try:
-        failure, calls = _scan_pairs(fam.n, masks, diffs, pred, expect)
+        if 1 << len(rows) != m:
+            failure, calls = _scan_pairs(fam.n, masks, 0, pred, expect)
+            method = "memoized"
+        else:
+            i, calls, method = _first_failure(fam.n, rows, pred, expect)
+            failure = None
+            if i is not None:
+                failure, scanned = _scan_pairs(fam.n, masks, _member(rows, i),
+                                               pred, expect)
+                calls += scanned
     except CapabilityError as exc:
         raise CapabilityError(f"{exc} (while verifying {m} graphs)") from exc
-    method = "memoized" if diffs is None else "coset"
     if failure is None:
         return VerifyReport(True, mode, m * (m - 1) // 2, None, method, calls)
     i, j = failure
@@ -160,32 +159,26 @@ def _table_width(n: int, rank: int, ops: int) -> int | None:
     return width if ops <= (1 << width) * slots else None
 
 
-def _table_scan(fam: LinearFamily, pred: Predicate, width: int) -> VerifyReport:
+def _table_scan(n: int, rows, pred: Predicate, width: int,
+                expect: bool) -> tuple[int | None, int]:
     """Decide the sorted span in blocks of 2^width members, one truth table
     per block over the ordered basis: bit i of block b is the verdict on
-    member b << width | i, so the first failing member is the lowest clear
+    member b << width | i, so the first failing member is the lowest failing
     bit of the first block that has one."""
-    n, rows = fam.n, fam.rows
     ones = (1 << (1 << width)) - 1
-    blocks = 1 << fam.rank - width
+    blocks = 1 << len(rows) - width
     for b in range(blocks):
-        fails = ones & ~pred.table(n, b, width, rows)
+        table = pred.table(n, b, width, rows)
+        fails = ones & ~table if expect else table
         if b == 0:
             fails &= ~1  # member 0 is the empty graph, never a difference
         if fails:
-            i = b << width | (fails & -fails).bit_length() - 1
-            member = 0
-            for j, row in enumerate(rows):
-                if i >> j & 1:
-                    member ^= row
-            return VerifyReport(False, "linear", i,
-                                ((0, i), LabeledGraph(n, member)),
-                                "table", b + 1)
-    return VerifyReport(True, "linear", (1 << fam.rank) - 1, None, "table",
-                        blocks)
+            return b << width | (fails & -fails).bit_length() - 1, b + 1
+    return None, blocks
 
 
-def _cover_scan(fam: LinearFamily, pred: Predicate, witness) -> VerifyReport:
+def _cover_scan(n: int, rows, pred: Predicate,
+                witness) -> tuple[int | None, int]:
     """Decide the sorted span of a monotone predicate by witnesses, in
     blocks of 2^width members: the lowest undecided member gets a witness
     W, and the AND of W's slot columns over the block is every member that
@@ -194,8 +187,7 @@ def _cover_scan(fam: LinearFamily, pred: Predicate, witness) -> VerifyReport:
     high rows' span element b and the low rows' element k."""
     from .bitslice import BLOCK_WIDTH, slot_matrix
 
-    n, rows = fam.n, fam.rows
-    width = min(fam.rank, BLOCK_WIDTH)
+    width = min(len(rows), BLOCK_WIDTH)
     low, high = ordered_span(rows[:width]), ordered_span(rows[width:])
     calls = 0
     for b, top in enumerate(high):
@@ -203,14 +195,10 @@ def _cover_scan(fam: LinearFamily, pred: Predicate, witness) -> VerifyReport:
         undecided = ones & ~1 if b == 0 else ones  # member 0 is empty
         while undecided:
             bit = undecided & -undecided
-            member = top ^ low[bit.bit_length() - 1]
             calls += 1
-            w = witness(pred, n, member)
+            w = witness(pred, n, top ^ low[bit.bit_length() - 1])
             if w is None:
-                i = b << width | bit.bit_length() - 1
-                return VerifyReport(False, "linear", i,
-                                    ((0, i), LabeledGraph(n, member)),
-                                    "cover", calls)
+                return b << width | bit.bit_length() - 1, calls
             covered = undecided
             while w:
                 s = w & -w
@@ -219,8 +207,42 @@ def _cover_scan(fam: LinearFamily, pred: Predicate, witness) -> VerifyReport:
             # bit is covered, as W lies within its member; clearing it
             # explicitly ends the loop whatever the witness
             undecided ^= covered | bit
-    return VerifyReport(True, "linear", (1 << fam.rank) - 1, None, "cover",
-                        calls)
+    return None, calls
+
+
+def _first_failure(n: int, rows, pred: Predicate,
+                   expect: bool) -> tuple[int | None, int, str]:
+    """(index of the first member of the sorted span of the ordered basis
+    ``rows`` on which the predicate is not ``expect``, or None; predicate
+    calls; method), skipping member 0, the empty graph.  Three paths, tried
+    in this order:
+
+    - where the predicate's truth-table formula is cheaper than one kernel
+      call per member (``_table_width``), the members are decided a block
+      at a time from ``Predicate.table`` (method "table"), and the calls
+      count the tables;
+    - on a good check (``expect`` true), a monotone predicate (one whose
+      kind has a witness) takes the cover of ``_cover_scan`` (method
+      "cover"), and the calls count the witnesses searched, at most i;
+    - otherwise the members are tested in order, one kernel call each
+      (method "linear"), and the calls are i, or 2^rank - 1 on a pass."""
+    kind = pred._domain(n)
+    width = _table_width(n, len(rows), kind.ops(pred, n))
+    if width is not None:
+        return (*_table_scan(n, rows, pred, width, expect), "table")
+    if expect and kind.witness is not None:
+        return (*_cover_scan(n, rows, pred, kind.witness), "cover")
+    # member hi << half | lo is the XOR of the high rows' span element hi
+    # and the low rows' element lo, so the span is walked without a list
+    half = len(rows) // 2
+    low = ordered_span(rows[:half])
+    members = (top ^ m for top in ordered_span(rows[half:]) for m in low)
+    next(members)  # the empty graph
+    for i, member in enumerate(members, 1):
+        if pred.test_mask(n, member) != expect:
+            return i, i, "linear"
+    last = (1 << len(rows)) - 1
+    return None, last, "linear"
 
 
 def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:
@@ -228,37 +250,16 @@ def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:
 
     The sorted span puts the empty graph at index 0, so the first failing
     pair is (0, i) for the smallest failing member i, and ``pairs_checked``
-    is i.  Three paths, tried in this order:
-
-    - where the predicate's truth-table formula is cheaper than one kernel
-      call per member (``_table_width``), the members are decided a block
-      at a time from ``Predicate.table`` over the span's ordered basis
-      (method "table"), and ``predicate_calls`` counts the tables;
-    - a monotone predicate (one whose kind has a witness) takes the cover
-      of ``_cover_scan`` (method "cover"), and ``predicate_calls`` counts
-      the witnesses searched, at most i;
-    - otherwise the members, which are exactly the span's differences, are
-      tested in order, one kernel call each (method "linear"), and
-      ``predicate_calls`` is i too."""
+    is i.  The members are decided by ``_first_failure`` over the span's
+    ordered basis, on the table, cover or kernel path."""
     fam.check_span_budget()
-    kind = pred._domain(fam.n)
-    width = _table_width(fam.n, fam.rank, kind.ops(pred, fam.n))
-    if width is not None:
-        return _table_scan(fam, pred, width)
-    if kind.witness is not None:
-        return _cover_scan(fam, pred, kind.witness)
-    # member hi << half | lo is the XOR of the high rows' span element hi
-    # and the low rows' element lo, so the span is walked without a list
-    n, rows, half = fam.n, fam.rows, fam.rank // 2
-    low = ordered_span(rows[:half])
-    members = (top ^ m for top in ordered_span(rows[half:]) for m in low)
-    next(members)  # the empty graph
-    for i, member in enumerate(members, 1):
-        if not pred.test_mask(n, member):
-            return VerifyReport(False, "linear", i,
-                                ((0, i), LabeledGraph(n, member)), "linear", i)
-    last = (1 << fam.rank) - 1
-    return VerifyReport(True, "linear", last, None, "linear", last)
+    i, calls, method = _first_failure(fam.n, fam.rows, pred, True)
+    if i is None:
+        return VerifyReport(True, "linear", fam.span_size - 1, None, method,
+                            calls)
+    return VerifyReport(False, "linear", i,
+                        ((0, i), LabeledGraph(fam.n, _member(fam.rows, i))),
+                        method, calls)
 
 
 def verify_dual_sampled(

@@ -346,13 +346,13 @@ def test_verify_json_reports_method_and_calls(tmp_path, capsys):
     assert run("verify", "--pred", "connected", "--json", str(out)) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"passed": True, "mode": "pairwise",
-                       "pairs_checked": 120, "method": "coset",
-                       "predicate_calls": 15}
+                       "pairs_checked": 120, "method": "table",
+                       "predicate_calls": 1}
 
 
 @pytest.mark.parametrize("family, params, pred, exit_code, counters", (
     ("split-clique", ("--n", "5"), "connected", 0,
-     {"mode": "pairwise", "method": "coset", "predicate_calls": "15",
+     {"mode": "pairwise", "method": "table", "predicate_calls": "1",
       "checked": "120"}),
     ("hamcycle", ("--n", "8"), "hamcycle", 0,
      {"mode": "linear", "method": "cover", "predicate_calls": "21",

@@ -11,6 +11,7 @@ import pytest
 
 import graphcodes
 from graphcodes.cli import main
+from graphcodes.constructions import split_clique_family
 from graphcodes.core import complete_graph, cycle_graph, empty_graph
 from graphcodes.family import save_family
 
@@ -125,8 +126,13 @@ FOOTPRINTS = {
     "build": (["build", "--family", "split-clique", "--n", "5"],
               FAMILIES | {"graphcodes.constructions",
                           "graphcodes.factorization"}),
+    # a pairwise rank-1 coset stays on the per-member kernel, while the
+    # rank-4 coset of split-clique n=5 is decided from the truth table
     "verify": (["verify", "--pred", "connected", "{family}"],
                FAMILIES | {"graphcodes.predicates", "graphcodes.verify"}),
+    "verify-coset": (["verify", "--pred", "connected", "{coset}"],
+                     FAMILIES | {"graphcodes.predicates", "graphcodes.verify",
+                                 "graphcodes.bitslice"}),
     # a span decided from the truth table loads its formulas, and so does a
     # cover, for its slot columns; oddcycle stays on the per-member kernel
     # and does not
@@ -174,7 +180,10 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
         basis = tmp_path / "basis.json"
         save_family(basis, 5, [complete_graph(5), cycle_graph(5)],
                     role="basis")
-        argv = [a.format(family=family, basis=basis) for a in argv]
+        coset = tmp_path / "coset.json"
+        save_family(coset, 5, split_clique_family(5).graphs)
+        argv = [a.format(family=family, basis=basis, coset=coset)
+                for a in argv]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
                           env=env, capture_output=True, text=True, check=True)

@@ -156,7 +156,6 @@ def test_sampled_check_deterministic():
 from hypothesis import example, given, settings, strategies as st
 
 from graphcodes.core import edge_slots
-from graphcodes.linalg import gf2_reduced_basis, gray_span
 
 SHIPPED_PREDICATES = (
     P.CONNECTED, P.TWO_CONNECTED, P.THREE_CONNECTED, P.k_connected(4),
@@ -183,18 +182,50 @@ def distinct_differences(fam):
     return len({a ^ b for i, a in enumerate(masks) for b in masks[i + 1:]})
 
 
-def assert_engine_matches_naive(fam, method=None, exact_calls=True):
+def xor_closure(masks):
+    """The span of masks by brute force: the smallest set holding 0 and
+    closed under XOR with each mask."""
+    span = {0}
+    for m in masks:
+        span |= {s ^ m for s in span}
+    return span
+
+
+def assert_engine_matches_naive(fam, exact_calls=True):
+    """Verdict, witness and pairs_checked equal the naive loop's for every
+    shipped predicate, good and dual.  A coset takes a span path ("table",
+    "cover" or "linear"), never the cover on a dual check, and any other
+    family the memoized scan.  The predicate calls follow the method: on a
+    pass, "linear" and "memoized" test each distinct difference once,
+    "table" evaluates one table per block of 2^width members and "cover"
+    searches at most one witness per difference; a failure costs at most
+    one call per distinct difference.  Returns the methods taken."""
+    masks = fam.masks()
+    d = distinct_differences(fam)
+    rank = len(masks).bit_length() - 1
+    coset = len(xor_closure(m ^ masks[0] for m in masks)) == len(masks)
+    methods = set()
     for pred in SHIPPED_PREDICATES:
         for check, expect in ((verify_family, True), (verify_dual_family, False)):
             rep = check(fam, pred)
             assert (rep.passed, rep.witness, rep.pairs_checked) == \
                 naive_pairwise(fam, pred, expect), (pred.name, expect)
-            if method is not None:
-                assert rep.method == method
-            if exact_calls:
-                d = distinct_differences(fam)
-                assert rep.predicate_calls == d if rep.passed \
-                    else rep.predicate_calls <= d
+            methods.add(rep.method)
+            if coset:
+                assert rep.method in ("table", "cover", "linear")
+                assert expect or rep.method != "cover"
+            else:
+                assert rep.method == "memoized"
+            if not exact_calls:
+                continue
+            if not rep.passed or rep.method == "cover":
+                assert rep.predicate_calls <= d
+            elif rep.method == "table":
+                width = min(rank, B.BLOCK_WIDTH)
+                assert rep.predicate_calls == 1 << rank - width
+            else:
+                assert rep.predicate_calls == d
+    return methods
 
 
 vertex_counts = st.integers(min_value=3, max_value=6)
@@ -214,9 +245,8 @@ def coset_masks(draw):
     n = draw(vertex_counts)
     top = (1 << edge_slots(n)) - 1
     gens = draw(st.lists(st.integers(1, top), min_size=1, max_size=4))
-    rows = gf2_reduced_basis(gens)
     shift = draw(st.integers(0, top))
-    masks = draw(st.permutations([shift ^ s for s in gray_span(rows)]))
+    masks = draw(st.permutations(sorted(shift ^ s for s in xor_closure(gens))))
     return n, masks
 
 
@@ -232,7 +262,7 @@ def test_engine_matches_naive_on_cosets(coset):
     n, masks = coset
     if len(masks) >= 2:
         fam = GraphFamily(n, tuple(LabeledGraph(n, m) for m in masks))
-        assert_engine_matches_naive(fam, method="coset")
+        assert_engine_matches_naive(fam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,24 +277,45 @@ def test_engine_matches_naive_on_perturbed_cosets(coset, data):
     assert_engine_matches_naive(fam)
 
 
-def test_engine_matches_naive_when_coset_fails_late_in_gray_order():
-    # a rank-3 subspace on 4 vertices whose only disconnected element is the
-    # last one in Gray order
+def test_engine_matches_naive_when_coset_fails_at_its_largest_difference():
+    # a rank-3 subspace on 5 vertices whose only disconnected element is its
+    # largest: the table finds it, and the pair scan for the witness then
+    # meets only differences at or below it, which cost no kernel call
     rng = random.Random(11)
     while True:
-        rows = gf2_reduced_basis(rng.getrandbits(6) for _ in range(3))
-        span = gray_span(rows)
-        verdicts = [P.CONNECTED.test_mask(4, d) for d in span[1:]]
-        if len(rows) == 3 and all(verdicts[:-1]) and not verdicts[-1]:
+        span = sorted(xor_closure(rng.getrandbits(10) for _ in range(3)))
+        verdicts = [P.CONNECTED.test_mask(5, d) for d in span[1:]]
+        if len(span) == 8 and all(verdicts[:-1]) and not verdicts[-1]:
             break
-    members = [0b100110 ^ s for s in span]
+    members = [0b1000100110 ^ s for s in span]
     rng.shuffle(members)
-    fam = GraphFamily(4, tuple(LabeledGraph(4, m) for m in members))
+    fam = GraphFamily(5, tuple(LabeledGraph(5, m) for m in members))
     rep = verify_family(fam, P.CONNECTED)
-    assert rep.method == "coset" and not rep.passed
+    assert rep.method == "table" and not rep.passed
     assert rep.witness[1].bits == span[-1]
-    assert rep.predicate_calls == 7
-    assert_engine_matches_naive(fam, method="coset")
+    assert rep.predicate_calls == 1
+    assert_engine_matches_naive(fam)
+
+
+def test_engine_matches_naive_on_multi_block_cosets(monkeypatch):
+    # with blocks of 4 members, shuffled and shifted cosets of rank up to 6
+    # take the table over several blocks, the cover and the kernel walk
+    monkeypatch.setattr(B, "BLOCK_WIDTH", 2)
+    rng = random.Random(19)
+    cosets = [(6, C.split_clique_family(6).masks()),
+              (4, C.dual_star_family(4).masks())]
+    for rank in range(1, 7):
+        for n in (4, 5, 6):
+            gens = [rng.getrandbits(edge_slots(n)) for _ in range(rank)]
+            cosets.append((n, sorted(xor_closure(gens))))
+    methods = set()
+    for n, span in cosets:
+        shift = rng.getrandbits(edge_slots(n))
+        members = [shift ^ m for m in span]
+        rng.shuffle(members)
+        fam = GraphFamily(n, tuple(LabeledGraph(n, m) for m in members))
+        methods |= assert_engine_matches_naive(fam)
+    assert methods == {"table", "cover", "linear"}
 
 
 @settings(max_examples=25, deadline=None)
@@ -279,16 +330,20 @@ def test_engine_matches_naive_past_the_memo_cap(fam, cap):
 
 
 def test_predicate_calls_count_distinct_differences():
+    # the cosets take one table for their whole span, and the kernel walk
+    # and the memoized scan test each distinct difference once
     cases = (
-        (C.split_clique_family(6), P.CONNECTED, verify_family, "coset"),
-        (C.dual_star_family(4), P.STAR, verify_dual_family, "coset"),
+        (C.split_clique_family(6), P.CONNECTED, verify_family, "table", 1),
+        (C.dual_star_family(4), P.STAR, verify_dual_family, "table", 1),
+        (C.dual_isolated_family(5), P.HAMPATH, verify_dual_family, "linear",
+         63),
         (C.dual_lowdeg_family(5), P.THREE_CONNECTED, verify_dual_family,
-         "memoized"),
+         "memoized", distinct_differences(C.dual_lowdeg_family(5))),
     )
-    for fam, pred, check, method in cases:
+    for fam, pred, check, method, calls in cases:
         rep = check(fam, pred)
         assert rep.passed and rep.method == method
-        assert rep.predicate_calls == distinct_differences(fam)
+        assert rep.predicate_calls == calls
     sc = C.split_clique_family(6)
     bad = GraphFamily(6, sc.graphs[:5] + (sc[0] ^ LabeledGraph(6, 1),)
                       + sc.graphs[6:])
@@ -317,7 +372,7 @@ def member_loop_linear(fam, pred):
     """The dedicated loop over the sorted span that verify_linear_family ran
     before it went through the difference-set engine, kept as a reference;
     the span is sorted here, not taken in the order of the ordered basis."""
-    masks = sorted(gray_span(gf2_reduced_basis(g.bits for g in fam.basis)))
+    masks = sorted(xor_closure(g.bits for g in fam.basis))
     test = pred.test_mask
     for idx in range(1, len(masks)):
         if not test(fam.n, masks[idx]):
