@@ -12,11 +12,10 @@ Fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import LabeledGraph, _is_prime, adjacency_masks, edge_slots
+from .core import Frozen, LabeledGraph, _is_prime, adjacency_masks, edge_slots
 from .errors import (CapabilityError, DomainError, GraphCodesError,
                      UnsupportedParameterError)
 
@@ -227,25 +226,27 @@ def rate(n: int, family_size: int) -> float:
 # bound reports
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(Frozen):
     """A lower bound (from a construction) paired with an upper bound."""
 
-    n: int
-    predicate: str
-    lower: int | None
-    lower_source: str | None
-    upper: int | None
-    upper_log2: Fraction | None
-    upper_source: str | None
+    __slots__ = ("n", "predicate", "lower", "lower_source", "upper",
+                 "upper_log2", "upper_source")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if (
-            self.lower is not None
-            and self.upper is not None
-            and self.lower > self.upper
-        ):
+    def __init__(
+        self, n: int, predicate: str, lower: int | None,
+        lower_source: str | None, upper: int | None,
+        upper_log2: Fraction | None, upper_source: str | None,
+    ) -> None:
+        if lower is not None and upper is not None and lower > upper:
             raise DomainError("lower bound exceeds upper bound")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "predicate", predicate)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "lower_source", lower_source)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "upper_log2", upper_log2)
+        object.__setattr__(self, "upper_source", upper_source)
 
     @property
     def tight(self) -> bool:

@@ -15,12 +15,14 @@ from math import comb
 from .core import (
     LabeledGraph,
     _is_prime,
+    check_vertex_count,
     complete_graph,
     edge_index,
     edge_slots,
     empty_graph,
     graph_from_edges,
     two_coloring,
+    vertex_limit,
 )
 from .errors import CapabilityError, DomainError, UnsupportedParameterError
 from .factorization import starter_factorization, verify_p1f
@@ -59,6 +61,7 @@ def split_clique_family(n: int) -> GraphFamily:
     """
     if n < 2:
         raise DomainError("need n >= 2")
+    check_vertex_count(n)
     graphs = tuple(
         LabeledGraph(n, _split_clique_mask(n, side))
         for side in _sides_with_vertex_one(n)
@@ -77,6 +80,7 @@ def even_split_family(n: int) -> GraphFamily:
     """
     if n % 2 or n < 4:
         raise DomainError("need even n >= 4")
+    check_vertex_count(n)
     graphs = tuple(
         LabeledGraph(n, _split_clique_mask(n, side))
         for side in _sides_with_vertex_one(n)
@@ -98,6 +102,7 @@ def odd_two_conn_family(n: int) -> GraphFamily:
     """
     if n % 2 == 0 or n < 3:
         raise DomainError("need odd n >= 3")
+    check_vertex_count(n)
     if n == 3:
         return GraphFamily(
             3, (empty_graph(3), complete_graph(3)),
@@ -156,6 +161,11 @@ def hamming_bipartite_family(k: int) -> LinearFamily:
     The cut graph of a word (its 1-positions against its 0-positions) is
     the complement of the split-clique graph on that side.
     """
+    # n = 2^k - 1 exceeds the limit exactly when 2^k exceeds limit + 1
+    if k >= 2 and (vertex_limit() + 1) >> k == 0:
+        raise CapabilityError(
+            f"n=2^{k}-1 exceeds the configured vertex limit {vertex_limit()}"
+        )
     n, basis = hamming_code(k)
     return LinearFamily(n, tuple(
         LabeledGraph(n, _split_clique_mask(n, w)).complement() for w in basis))
@@ -184,6 +194,7 @@ def ham_cycle_family(m: int) -> LinearFamily:
     """
     if m < 4 or m % 2:
         raise DomainError("need even m >= 4")
+    check_vertex_count(m)
     if not _is_prime(m - 1):
         raise UnsupportedParameterError(
             f"m-1 = {m - 1} is not prime; only the m = p+1 case is built"
@@ -199,6 +210,7 @@ def ham_path_family(p: int) -> LinearFamily:
     matchings of K_p any two of which unite into a Hamiltonian path.
     Requires an odd prime p.
     """
+    check_vertex_count(p)
     if p < 3 or not _is_prime(p):
         raise UnsupportedParameterError(f"p = {p} is not an odd prime")
     mats = _perfect_factorization(p + 1).matchings
@@ -225,6 +237,7 @@ def star_family(n: int) -> GraphFamily:
     """
     if n < 2:
         raise DomainError("need n >= 2")
+    check_vertex_count(n)
     if n == 2:
         return GraphFamily(
             2, (empty_graph(2), complete_graph(2)),
@@ -352,6 +365,7 @@ def clique_agreement_implicit(n: int, r: int) -> ImplicitFamily:
     """
     if not 2 <= r <= n:
         raise DomainError("need 2 <= r <= n")
+    check_vertex_count(n)
     # in colex order the edges inside {1..r} are the first C(r,2) slots
     free = (1 << edge_slots(n)) - (1 << edge_slots(r))
     return ImplicitFamily(
@@ -368,6 +382,7 @@ def dual_isolated_implicit(n: int) -> ImplicitFamily:
     """All graphs with vertex n isolated; no pairwise difference is connected."""
     if n < 2:
         raise DomainError("need n >= 2")
+    check_vertex_count(n)
     return ImplicitFamily(
         n, 0, (1 << edge_slots(n - 1)) - 1,
         provenance={"construction": "dual-isolated", "n": n},
@@ -383,6 +398,7 @@ def dual_pendant_implicit(n: int) -> ImplicitFamily:
     2-connected (vertex n keeps degree <= 2 with at most one fresh edge)."""
     if n < 3:
         raise DomainError("need n >= 3")
+    check_vertex_count(n)
     free = ((1 << edge_slots(n - 1)) - 1) | 1 << edge_index(n - 1, n, n)
     return ImplicitFamily(
         n, 0, free, provenance={"construction": "dual-pendant", "n": n},
@@ -403,6 +419,7 @@ def dual_lowdeg_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
     vertex n degree at most 2, so none is 3-connected."""
     if n < 2:
         raise DomainError("need n >= 2")
+    check_vertex_count(n)
     inner = edge_slots(n - 1)
     size = dual_lowdeg_size(n)
     if size > budget:
@@ -433,6 +450,7 @@ def dual_star_implicit(n: int) -> ImplicitFamily:
     """All graphs containing a fixed minimum edge cover T; every vertex then
     misses its T-edge in any pairwise difference, so no difference has a
     spanning star.  Size 2^(C(n,2) - ceil(n/2))."""
+    check_vertex_count(n)
     base = 0
     for i, j in star_cover_edges(n):
         base |= 1 << edge_index(i, j, n)

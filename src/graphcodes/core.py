@@ -3,13 +3,13 @@
 Edge {i,j} with 1 <= i < j <= n lives at slot (j-1)(j-2)/2 + (i-1), so the
 slots enumerate pairs in colex order of (j, i).  The symmetric difference of
 two graphs is the XOR of their bit vectors.  Graphs are immutable and
-hashable.
+hashable, like every value class of the package, which derive from
+``Frozen``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapabilityError, DomainError
@@ -29,6 +29,15 @@ def set_vertex_limit(limit: int) -> None:
     if limit < 1:
         raise DomainError("vertex limit must be at least 1")
     _vertex_limit = limit
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count past the configured limit, before any mask on
+    that many vertices is built."""
+    if n > _vertex_limit:
+        raise CapabilityError(
+            f"n={n} exceeds the configured vertex limit {_vertex_limit}"
+        )
 
 
 def edge_slots(n: int) -> int:
@@ -130,22 +139,69 @@ def two_coloring(adj: list[int]) -> int | None:
     return even
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledGraph:
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass keeps its fields in ``__slots__``, sets them in ``__init__``
+    through ``object.__setattr__`` and names its constructor arguments, in
+    order, in ``_fields``.  Instances refuse assignment and deletion, equal
+    the instances of their own class with an equal ``_key()`` and hash on
+    it, show ``_fields`` in their repr, and pickle and copy by calling the
+    class on ``_fields`` again, so the constructor's checks run."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        """What equality and hashing compare: every field, unless a
+        subclass leaves some out."""
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+class LabeledGraph(Frozen):
     """Graph on vertex set {1..n}; bit k of ``bits`` is edge slot k."""
 
-    n: int
-    bits: int = 0
+    __slots__ = ("n", "bits")
+    _fields = ("n", "bits")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, bits: int = 0) -> None:
+        if n < 1:
             raise DomainError("a graph needs at least one vertex")
-        if self.n > _vertex_limit:
-            raise CapabilityError(
-                f"n={self.n} exceeds the configured vertex limit {_vertex_limit}"
-            )
-        if not 0 <= self.bits < (1 << edge_slots(self.n)):
-            raise DomainError(f"edge bits out of range for n={self.n}")
+        check_vertex_count(n)
+        if not 0 <= bits < (1 << edge_slots(n)):
+            raise DomainError(f"edge bits out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.bits) == (other.n, other.bits)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
 
     @property
     def num_slots(self) -> int:
@@ -244,6 +300,7 @@ def complete_graph(n: int) -> LabeledGraph:
 
 
 def graph_from_edges(n: int, edges) -> LabeledGraph:
+    check_vertex_count(n)
     bits = 0
     for i, j in edges:
         if i == j:

@@ -8,28 +8,25 @@ Hamiltonicity constructions need and what ``verify_p1f`` certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import LabeledGraph, adjacency_masks, complete_graph, graph_from_edges
+from .core import (Frozen, LabeledGraph, adjacency_masks, check_vertex_count,
+                   complete_graph, graph_from_edges)
 from .errors import DomainError
 
 
-@dataclass(frozen=True, slots=True)
-class OneFactorization:
+class OneFactorization(Frozen):
     """m-1 pairwise edge-disjoint perfect matchings partitioning K_m."""
 
-    m: int
-    matchings: tuple[LabeledGraph, ...]
+    __slots__ = ("m", "matchings")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matchings", tuple(self.matchings))
-        m = self.m
+    def __init__(self, m: int, matchings) -> None:
+        matchings = tuple(matchings)
         if m % 2 or m < 4:
             raise DomainError("a one-factorization needs even m >= 4")
-        if len(self.matchings) != m - 1:
-            raise DomainError(f"expected {m - 1} matchings, got {len(self.matchings)}")
+        if len(matchings) != m - 1:
+            raise DomainError(f"expected {m - 1} matchings, got {len(matchings)}")
         acc = 0
-        for matching in self.matchings:
+        for matching in matchings:
             if matching.n != m:
                 raise DomainError("matching on wrong vertex count")
             if matching.num_edges != m // 2 or 0 in matching.degree_sequence():
@@ -39,6 +36,8 @@ class OneFactorization:
             acc |= matching.bits
         if acc != complete_graph(m).bits:
             raise DomainError("matchings do not cover K_m")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "matchings", matchings)
 
 
 def starter_factorization(m: int) -> OneFactorization:
@@ -50,6 +49,7 @@ def starter_factorization(m: int) -> OneFactorization:
     """
     if m % 2 or m < 4:
         raise DomainError(f"need even m >= 4, got {m}")
+    check_vertex_count(m)
     mod = m - 1
     matchings = []
     for i in range(mod):

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import LabeledGraph, edge_slots, vertex_limit
+from .core import Frozen, LabeledGraph, edge_slots, vertex_limit
 from .errors import CapabilityError, DomainError
 
 FORMAT_VERSION = 1
@@ -24,29 +23,36 @@ EDGE_ORDER = "colex-1based"
 ENUM_BUDGET = 1 << 24
 
 
-@dataclass(frozen=True, slots=True)
-class GraphFamily:
-    """Ordered, duplicate-free collection of graphs on a common vertex set."""
+class GraphFamily(Frozen):
+    """Ordered, duplicate-free collection of graphs on a common vertex set.
+    Equality and hashing ignore ``provenance`` and ``claimed_size``."""
 
-    n: int
-    graphs: tuple[LabeledGraph, ...]
-    provenance: dict = field(default_factory=dict, compare=False)
-    claimed_size: int | None = field(default=None, compare=False)
+    __slots__ = ("n", "graphs", "provenance", "claimed_size")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "graphs", tuple(self.graphs))
+    def __init__(self, n: int, graphs, provenance: dict | None = None,
+                 claimed_size: int | None = None) -> None:
+        graphs = tuple(graphs)
         seen = set()
-        for g in self.graphs:
-            if g.n != self.n:
-                raise DomainError(f"member on {g.n} vertices in a family on {self.n}")
+        for g in graphs:
+            if g.n != n:
+                raise DomainError(f"member on {g.n} vertices in a family on {n}")
             if g.bits in seen:
                 raise DomainError("duplicate graph in family")
             seen.add(g.bits)
-        if self.claimed_size is not None and len(self.graphs) != self.claimed_size:
+        if claimed_size is not None and len(graphs) != claimed_size:
             raise DomainError(
-                f"construction produced {len(self.graphs)} graphs, "
-                f"expected {self.claimed_size}"
+                f"construction produced {len(graphs)} graphs, "
+                f"expected {claimed_size}"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "provenance",
+                           {} if provenance is None else provenance)
+        object.__setattr__(self, "claimed_size", claimed_size)
+
+    def _key(self) -> tuple:
+        return (self.n, self.graphs)
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -61,22 +67,29 @@ class GraphFamily:
         return [g.bits for g in self.graphs]
 
 
-@dataclass(frozen=True, slots=True)
-class ImplicitFamily:
+class ImplicitFamily(Frozen):
     """All graphs of the form ``base | (x & free)``, i.e. fixed bits outside
     ``free_mask`` and free choice inside it.  Carries a closed-form size plus
-    membership and sampling, so it serves where enumeration is too large."""
+    membership and sampling, so it serves where enumeration is too large.
+    Equality and hashing ignore ``provenance``."""
 
-    n: int
-    base_bits: int
-    free_mask: int
-    provenance: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("n", "base_bits", "free_mask", "provenance")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if self.base_bits & self.free_mask:
+    def __init__(self, n: int, base_bits: int, free_mask: int,
+                 provenance: dict | None = None) -> None:
+        if base_bits & free_mask:
             raise DomainError("base bits must avoid the free slots")
-        if (self.base_bits | self.free_mask) >> edge_slots(self.n):
+        if (base_bits | free_mask) >> edge_slots(n):
             raise DomainError("slot masks out of range")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "base_bits", base_bits)
+        object.__setattr__(self, "free_mask", free_mask)
+        object.__setattr__(self, "provenance",
+                           {} if provenance is None else provenance)
+
+    def _key(self) -> tuple:
+        return (self.n, self.base_bits, self.free_mask)
 
     @property
     def log2_size(self) -> int:
@@ -113,14 +126,18 @@ class ImplicitFamily:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class LoadedFamily:
+class LoadedFamily(Frozen):
     """Raw contents of a family file, before interpretation."""
 
-    n: int
-    graphs: tuple[LabeledGraph, ...]
-    role: str | None
-    provenance: dict
+    __slots__ = ("n", "graphs", "role", "provenance")
+    _fields = __slots__
+
+    def __init__(self, n: int, graphs: tuple[LabeledGraph, ...],
+                 role: str | None, provenance: dict) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "role", role)
+        object.__setattr__(self, "provenance", provenance)
 
     def to_graph_family(self) -> GraphFamily:
         return GraphFamily(self.n, self.graphs, provenance=dict(self.provenance))

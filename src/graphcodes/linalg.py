@@ -8,9 +8,7 @@ the span in ascending order from that basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .core import LabeledGraph, edge_slots
+from .core import Frozen, LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily
 
@@ -70,34 +68,40 @@ def ordered_span(rows) -> list[int]:
     return vals
 
 
-@dataclass(frozen=True, slots=True)
-class LinearFamily:
+class LinearFamily(Frozen):
     """The GF(2) span of a list of generator graphs.
 
     Generators may be deliberately dependent (``redundant`` is then set); the
     span itself always contains the empty graph and has exactly 2^rank
-    members.
+    members.  ``rank``, ``redundant`` and ``rows`` are derived from the
+    generators; the repr, equality and hashing leave ``rows`` out.
     """
 
-    n: int
-    basis: tuple[LabeledGraph, ...]
-    rank: int = field(init=False)
-    redundant: bool = field(init=False)
-    # the span's gf2_ordered_basis: member i of the sorted span is the XOR
-    # of the rows at the set bits of i
-    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # rows: the span's gf2_ordered_basis, member i of the sorted span being
+    # the XOR of the rows at the set bits of i
+    __slots__ = ("n", "basis", "rank", "redundant", "rows")
+    _fields = ("n", "basis")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", tuple(self.basis))
-        for g in self.basis:
-            if g.n != self.n:
+    def __init__(self, n: int, basis) -> None:
+        basis = tuple(basis)
+        for g in basis:
+            if g.n != n:
                 raise DomainError(
-                    f"generator on {g.n} vertices in a family on {self.n}"
+                    f"generator on {g.n} vertices in a family on {n}"
                 )
-        rows = gf2_ordered_basis(g.bits for g in self.basis)
-        object.__setattr__(self, "rows", tuple(rows))
+        rows = gf2_ordered_basis(g.bits for g in basis)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "rank", len(rows))
-        object.__setattr__(self, "redundant", len(self.basis) > len(rows))
+        object.__setattr__(self, "redundant", len(basis) > len(rows))
+        object.__setattr__(self, "rows", tuple(rows))
+
+    def _key(self) -> tuple:
+        return (self.n, self.basis, self.rank, self.redundant)
+
+    def __repr__(self) -> str:
+        return (f"LinearFamily(n={self.n!r}, basis={self.basis!r}, "
+                f"rank={self.rank!r}, redundant={self.redundant!r})")
 
     @property
     def span_size(self) -> int:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import comb, perm
 from typing import NamedTuple
 
 from .core import (
+    Frozen,
     LabeledGraph,
     incidence_masks,
     adjacency_masks,
@@ -512,18 +512,20 @@ _KINDS: dict[str, _Kind] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Predicate:
+class Predicate(Frozen):
     """A named total boolean test on labeled graphs."""
 
-    name: str
-    kind: str
-    k: int | None = None
-    pattern: LabeledGraph | None = None
+    __slots__ = ("name", "kind", "k", "pattern")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown predicate kind {self.kind!r}")
+    def __init__(self, name: str, kind: str, k: int | None = None,
+                 pattern: LabeledGraph | None = None) -> None:
+        if kind not in _KINDS:
+            raise DomainError(f"unknown predicate kind {kind!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "pattern", pattern)
 
     def _domain(self, n: int) -> _Kind:
         """The kind's entry, once n is checked against its minimum and the

@@ -11,10 +11,9 @@ search runs on the graphs satisfying (or violating) the predicate alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from . import bitslice
-from .core import LabeledGraph, edge_slots
+from .core import Frozen, LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily
 from .linalg import gf2_ordered_basis, ordered_span
@@ -27,29 +26,46 @@ LINEAR_LIMIT = 8
 DEFAULT_BUDGET_NODES = 10**8
 
 
-@dataclass(frozen=True, slots=True)
-class SearchResult:
+class SearchResult(Frozen):
     """Optimum (or best-so-far on timeout) with a verifiable certificate."""
 
-    optimum: int
-    certificate: GraphFamily
-    # budget nodes spent: branch-and-bound nodes expanded in compatibility
-    # searches, candidate-set blocks built in linear ones
-    explored: int
-    status: str  # "exact" | "timeout"
-    rank: int | None = None
-    # compatibility searches only: graphs classified as candidates, and the
-    # edges of the compatibility graph among them
-    candidates: int | None = None
-    compat_edges: int | None = None
-    # good searches on a named predicate: the family sizes of its theorem
-    # row the search started from (the construction) and stopped at (the
-    # proven bound), None where the row has no such value
-    size_floor: int | None = None
-    size_cap: int | None = None
-    # wall time per phase, in seconds: classify, adjacency and clique for
-    # compatibility searches, classify and basis for linear ones
-    phase_seconds: dict[str, float] | None = None
+    __slots__ = ("optimum", "certificate", "explored", "status", "rank",
+                 "candidates", "compat_edges", "size_floor", "size_cap",
+                 "phase_seconds")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        optimum: int,
+        certificate: GraphFamily,
+        # budget nodes spent: branch-and-bound nodes expanded in
+        # compatibility searches, candidate-set blocks built in linear ones
+        explored: int,
+        status: str,  # "exact" | "timeout"
+        rank: int | None = None,
+        # compatibility searches only: graphs classified as candidates, and
+        # the edges of the compatibility graph among them
+        candidates: int | None = None,
+        compat_edges: int | None = None,
+        # good searches on a named predicate: the family sizes of its
+        # theorem row the search started from (the construction) and
+        # stopped at (the proven bound), None where the row has no such value
+        size_floor: int | None = None,
+        size_cap: int | None = None,
+        # wall time per phase, in seconds: classify, adjacency and clique
+        # for compatibility searches, classify and basis for linear ones
+        phase_seconds: dict[str, float] | None = None,
+    ) -> None:
+        object.__setattr__(self, "optimum", optimum)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "explored", explored)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "compat_edges", compat_edges)
+        object.__setattr__(self, "size_floor", size_floor)
+        object.__setattr__(self, "size_cap", size_cap)
+        object.__setattr__(self, "phase_seconds", phase_seconds)
 
 
 class _BudgetExhausted(Exception):

@@ -17,9 +17,8 @@ a deterministic witness and the scan stops there.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .core import LabeledGraph, edge_slots
+from .core import Frozen, LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily, ImplicitFamily
 from .linalg import LinearFamily, gf2_ordered_basis, ordered_span
@@ -29,8 +28,7 @@ MEMO_CAP = 1 << 18
 CROSS_PRODUCT_BUDGET = 1 << 24
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
+class VerifyReport(Frozen):
     """Outcome of a verification run.
 
     ``witness`` is the lexicographically first failing index pair together
@@ -46,16 +44,23 @@ class VerifyReport:
     up to 2^16 span members, and on the "cover" path the witness searches;
     a failing coset adds the kernel calls of its pair scan."""
 
-    passed: bool
-    mode: str
-    pairs_checked: int
-    witness: tuple[tuple[int, int], LabeledGraph] | None
-    method: str | None = None
-    predicate_calls: int | None = None
+    __slots__ = ("passed", "mode", "pairs_checked", "witness", "method",
+                 "predicate_calls")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.witness is None):
+    def __init__(
+        self, passed: bool, mode: str, pairs_checked: int,
+        witness: tuple[tuple[int, int], LabeledGraph] | None,
+        method: str | None = None, predicate_calls: int | None = None,
+    ) -> None:
+        if passed != (witness is None):
             raise DomainError("pass verdict and witness disagree")
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "predicate_calls", predicate_calls)
 
 
 def _pair_rank(i: int, j: int, m: int) -> int:

@@ -338,6 +338,25 @@ def test_verify_checks_the_domain_of_an_empty_span(tmp_path, capsys, pred, n,
     assert capsys.readouterr().out == "PASS [linear] checked 0 members\n"
 
 
+@pytest.mark.parametrize("argv, shown", (
+    (("factorize", "--m", "1000000"), "n=1000000"),
+    (("build", "--family", "star", "--n", "1000000"), "n=1000000"),
+    (("build", "--family", "hampath", "--p", "1000003"), "n=1000003"),
+    (("build", "--family", "dual-star", "--n", "1000000"), "n=1000000"),
+    (("build", "--family", "hamming-3conn", "--k", "30"), "n=2^30-1"),
+), ids=("factorize", "star", "hampath", "dual-star", "hamming-3conn"))
+def test_oversized_builds_exit_2_at_once(capsys, argv, shown):
+    # these used to build masks on n vertices before the limit was checked:
+    # a MemoryError traceback with exit 1, or a minute and more of work
+    start = time.perf_counter()
+    assert run(*argv) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {shown} exceeds the configured vertex limit 64\n")
+
+
 def test_verify_json_reports_method_and_calls(tmp_path, capsys):
     out = tmp_path / "sc5.json"
     assert run("build", "--family", "split-clique", "--n", "5",

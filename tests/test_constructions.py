@@ -14,6 +14,8 @@ from graphcodes import (
     has_spanning_star,
 )
 from graphcodes import constructions as C
+from graphcodes import core
+from graphcodes import factorization as F
 from graphcodes.factorization import starter_factorization
 from graphcodes.linalg import enumerate_span
 
@@ -294,3 +296,44 @@ def test_complement_closure_of_split_clique():
     for g, h in zip(fam, complemented):
         for g2, h2 in zip(fam, complemented):
             assert g ^ g2 == h ^ h2
+
+
+@pytest.mark.parametrize("build, shown", [
+    (lambda: C.split_clique_family(9), "n=9"),
+    (lambda: C.even_split_family(10), "n=10"),
+    (lambda: C.odd_two_conn_family(9), "n=9"),
+    (lambda: C.hamming_bipartite_family(4), "n=2^4-1"),
+    (lambda: C.ham_cycle_family(12), "n=12"),
+    (lambda: C.ham_path_family(11), "n=11"),
+    (lambda: C.star_family(9), "n=9"),
+    (lambda: C.clique_agreement_implicit(9, 3), "n=9"),
+    (lambda: C.dual_isolated_implicit(9), "n=9"),
+    (lambda: C.dual_pendant_implicit(9), "n=9"),
+    (lambda: C.dual_lowdeg_family(9), "n=9"),
+    (lambda: C.dual_star_implicit(9), "n=9"),
+    (lambda: starter_factorization(10), "n=10"),
+    (lambda: graph_from_edges(9, [(1, 2)]), "n=9"),
+], ids=("split-clique", "even-split", "odd-2conn", "hamming-3conn",
+        "hamcycle", "hampath", "star", "clique-agreement", "dual-isolated",
+        "dual-pendant", "dual-lowdeg", "dual-star", "factorization",
+        "graph_from_edges"))
+def test_builders_check_the_vertex_limit_before_building(monkeypatch, build,
+                                                         shown):
+    # every helper that sizes or fills a mask fails the test if reached, so
+    # a builder past the limit must refuse n first
+    def unreachable(*args):
+        raise AssertionError("a mask was built past the vertex limit")
+
+    for module, name in ((C, "_split_clique_mask"), (C, "edge_slots"),
+                         (C, "edge_index"), (C, "hamming_code"),
+                         (C, "_is_prime"), (C, "starter_factorization"),
+                         (C, "star_cover_edges"), (core, "edge_index"),
+                         (F, "graph_from_edges")):
+        monkeypatch.setattr(module, name, unreachable)
+    core.set_vertex_limit(8)
+    try:
+        with pytest.raises(CapabilityError) as exc:
+            build()
+    finally:
+        core.set_vertex_limit(core.DEFAULT_VERTEX_LIMIT)
+    assert str(exc.value) == f"{shown} exceeds the configured vertex limit 8"

@@ -113,7 +113,8 @@ def test_build_help_lists_every_family(monkeypatch, capsys):
 
 # ---------------------------------------------------------------------------
 # import footprint: the graphcodes modules a fresh process holds after one
-# command, so that a module creeping back into a command's imports shows
+# command, and the heavy stdlib modules it must not hold, so that a module
+# creeping back into a command's imports shows
 
 NUMERIC = {"graphcodes", "graphcodes.cli", "graphcodes.errors",
            "graphcodes.core", "graphcodes.bounds"}
@@ -166,7 +167,12 @@ else:
     assert code == 0, code
 print(json.dumps(sorted(m for m in sys.modules
                         if m == "graphcodes" or m.startswith("graphcodes."))))
+print(json.dumps(sorted(m for m in sys.argv[2:] if m in sys.modules)))
 """
+
+# stdlib modules no command may load: `dataclasses` imports the rest, which
+# together cost a fresh process about 10 ms
+HEAVY_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 @pytest.mark.parametrize("command", sorted(FOOTPRINTS))
@@ -185,6 +191,9 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
         argv = [a.format(family=family, basis=basis, coset=coset)
                 for a in argv]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
-                          env=env, capture_output=True, text=True, check=True)
-    assert set(json.loads(proc.stdout)) == expected
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv), *HEAVY_STDLIB],
+        env=env, capture_output=True, text=True, check=True)
+    modules, heavy = proc.stdout.splitlines()
+    assert set(json.loads(modules)) == expected
+    assert json.loads(heavy) == []

@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import pytest
@@ -327,9 +326,13 @@ def test_dual_and_unnamed_searches_are_unseeded():
 def test_wrong_theorem_row_is_an_internal_error(monkeypatch):
     # hampath n=4: no construction, bound 8, exact optimum 5
     real = bounds.bound_report
-    monkeypatch.setattr(
-        bounds, "bound_report",
-        lambda name, n: dataclasses.replace(real(name, n), lower=6))
+
+    def raised_lower(name, n):
+        r = real(name, n)
+        return bounds.BoundReport(r.n, r.predicate, 6, r.lower_source,
+                                  r.upper, r.upper_log2, r.upper_source)
+
+    monkeypatch.setattr(bounds, "bound_report", raised_lower)
     with pytest.raises(RuntimeError, match="hampath at n=4 claims a family of 6"):
         S.max_good_family(4, P.HAMPATH)
     # a search that runs out of budget has proven nothing
