@@ -346,8 +346,8 @@ def test_verify_checks_the_domain_of_an_empty_span(tmp_path, capsys, pred, n,
     (("build", "--family", "hamming-3conn", "--k", "30"), "n=2^30-1"),
 ), ids=("factorize", "star", "hampath", "dual-star", "hamming-3conn"))
 def test_oversized_builds_exit_2_at_once(capsys, argv, shown):
-    # these used to build masks on n vertices before the limit was checked:
-    # a MemoryError traceback with exit 1, or a minute and more of work
+    # the limit is checked before any mask on n vertices is built, which
+    # would take minutes or exhaust memory at these sizes
     start = time.perf_counter()
     assert run(*argv) == 2
     assert time.perf_counter() - start < 5

@@ -125,8 +125,6 @@ def test_equality_is_by_class_and_compared_fields(value, text, compared):
 
 @pytest.mark.parametrize("value, text, compared", CASES, ids=IDS)
 def test_assignment_and_deletion_raise(value, text, compared):
-    # a name that is no field raises AttributeError too (a frozen slotted
-    # dataclass raised TypeError from its super() call there)
     for name in (*compared, "other"):
         with pytest.raises(AttributeError, match=f"cannot assign to field "
                                                  f"'{name}'"):
@@ -156,7 +154,7 @@ def test_uncompared_fields_are_ignored():
     assert implicit == ImplicitFamily(3, 1, 6, provenance={"n": 3})
     assert hash(implicit) == hash(ImplicitFamily(3, 1, 6, provenance={"x": 1}))
     assert implicit != ImplicitFamily(3, 0, 6)
-    # rows is derived from the generators, and left out of the comparison
+    # the same span from other generators differs: basis is compared
     assert LINEAR.rows == (1, 2)
     assert LINEAR != LinearFamily(3, (LabeledGraph(3, 1), LabeledGraph(3, 2)))
     assert LabeledGraph(3, 1) != LabeledGraph(4, 1)
