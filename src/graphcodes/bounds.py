@@ -72,43 +72,22 @@ def shearer_dual_star_bounds(n: int) -> tuple[Fraction, Fraction]:
 # chromatic and partition numbers of small patterns
 
 
-def _check_pattern_size(g: LabeledGraph) -> None:
+def _pattern_masks(g: LabeledGraph) -> tuple[list[int], list[int]]:
+    """The neighbor masks of a pattern and of its complement, for the cover
+    search; refuses a pattern past the cap."""
     if g.n > CHROMATIC_CAP:
         raise CapabilityError(f"pattern cap is {CHROMATIC_CAP} vertices, got {g.n}")
-
-
-def _colorable(n: int, adj: list[int], k: int) -> bool:
-    color = [-1] * n
-    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-
-    def assign(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        used = 0
-        for u in range(n):
-            if adj[v] >> u & 1 and color[u] >= 0:
-                used |= 1 << color[u]
-        limit = min(k, idx + 1)  # new colors beyond the first unseen are symmetric
-        for c in range(limit):
-            if not used >> c & 1:
-                color[v] = c
-                if assign(idx + 1):
-                    return True
-                color[v] = -1
-        return False
-
-    return assign(0)
+    full = (1 << g.n) - 1
+    adj = adjacency_masks(g.n, g.bits)
+    return adj, [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
 
 
 def chromatic_number(g: LabeledGraph) -> int:
-    """Exact chromatic number by branch and bound over color counts."""
-    _check_pattern_size(g)
-    adj = adjacency_masks(g.n, g.bits)
-    for k in range(1, g.n + 1):
-        if _colorable(g.n, adj, k):
-            return k
-    return g.n
+    """Exact chromatic number: the fewest independent sets that cover the
+    vertices, by the cover search with no cliques."""
+    adj, comp = _pattern_masks(g)
+    return next(k for k in range(1, g.n + 1)
+                if _cover_possible(g.n, adj, comp, 0, k))
 
 
 def _maximal_parts(v: int, neigh: list[int], within: int) -> list[int]:
@@ -170,10 +149,8 @@ def partition_number(g: LabeledGraph) -> int:
 
     Coverability is monotone in r (drop a part), so scanning r upward may
     stop at the first r where every split succeeds."""
-    _check_pattern_size(g)
     n = g.n
-    adj = adjacency_masks(n, g.bits)
-    comp = [((1 << n) - 1) ^ adj[v] ^ (1 << v) for v in range(n)]
+    adj, comp = _pattern_masks(g)
     best = 0
     for r in range(1, n + 1):
         if any(not _cover_possible(n, adj, comp, s, r - s) for s in range(r + 1)):
@@ -321,19 +298,21 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
             "power-of-two cap under the product bound via dual-lowdeg",
         )
     if pred_name == "hampath":
+        upper = _pow2(n - 1)  # before the primality test, which is slow
         built = n % 2 == 1 and _is_prime(n)
-        lower, source = (_pow2(n - 1), "hampath") if built else (None, None)
+        lower, source = (upper, "hampath") if built else (None, None)
         return BoundReport(
-            n, "hampath", lower, source, _pow2(n - 1), Fraction(n - 1),
+            n, "hampath", lower, source, upper, Fraction(n - 1),
             "product bound via dual-isolated",
         )
     if pred_name == "hamcycle":
         if n < 3:  # the predicate's own domain
             raise DomainError("a Hamiltonian cycle needs at least 3 vertices")
+        upper = _pow2(n - 2)  # before the primality test, which is slow
         built = n % 2 == 0 and _is_prime(n - 1)
-        lower, source = (_pow2(n - 2), "hamcycle") if built else (None, None)
+        lower, source = (upper, "hamcycle") if built else (None, None)
         return BoundReport(
-            n, "hamcycle", lower, source, _pow2(n - 2), Fraction(n - 2),
+            n, "hamcycle", lower, source, upper, Fraction(n - 2),
             "product bound via dual-pendant",
         )
     if pred_name == "star":

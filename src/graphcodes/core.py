@@ -109,6 +109,23 @@ def adjacency_masks(n: int, bits: int) -> list[int]:
     return adj
 
 
+def reach(adj: list[int], seed: int, within: int) -> int:
+    """The closure of the vertex mask ``seed`` (a subset of ``within``) under
+    adjacency inside ``within``, by a frontier BFS; it stops as soon as the
+    closure is all of ``within``."""
+    closure = frontier = seed
+    while frontier and closure != within:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & within & ~closure
+        closure |= frontier
+    return closure
+
+
 def two_coloring(adj: list[int]) -> int | None:
     """The color-0 class of the proper 2-coloring that gives the lowest
     vertex of each component color 0, as a vertex mask; None when the graph

@@ -9,7 +9,7 @@ Hamiltonicity constructions need and what ``verify_p1f`` certifies.
 from __future__ import annotations
 
 from .core import (Frozen, LabeledGraph, adjacency_masks, check_vertex_count,
-                   complete_graph, graph_from_edges)
+                   complete_graph, graph_from_edges, reach)
 from .errors import DomainError
 
 
@@ -62,29 +62,17 @@ def starter_factorization(m: int) -> OneFactorization:
     return OneFactorization(m, tuple(matchings))
 
 
-def _is_single_cycle(union: LabeledGraph) -> bool:
-    """Whether a 2-regular graph is one cycle through all vertices."""
-    n = union.n
-    adj = adjacency_masks(n, union.bits)
-    prev, cur = -1, 0
-    length = 0
-    while True:
-        m = adj[cur]
-        if prev >= 0:
-            m &= ~(1 << prev)
-        nxt = (m & -m).bit_length() - 1
-        prev, cur = cur, nxt
-        length += 1
-        if cur == 0:
-            return length == n
-
-
 def verify_p1f(factorization: OneFactorization) -> bool:
-    """True iff every union of two matchings is a Hamiltonian cycle."""
+    """True iff every union of two matchings is a Hamiltonian cycle.  The
+    union of two disjoint perfect matchings is 2-regular, so it is one
+    cycle exactly when it is connected."""
     matchings = factorization.matchings
+    m = factorization.m
+    full = (1 << m) - 1
     for i in range(len(matchings)):
         for j in range(i + 1, len(matchings)):
-            if not _is_single_cycle(matchings[i] ^ matchings[j]):
+            adj = adjacency_masks(m, matchings[i].bits ^ matchings[j].bits)
+            if reach(adj, 1, full) != full:
                 return False
     return True
 

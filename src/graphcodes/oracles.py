@@ -183,24 +183,19 @@ def oracle_odd_cycle(g: LabeledGraph) -> bool:
     return True
 
 
+_ORACLES = {
+    "connected": lambda p, g: oracle_connected(g),
+    "kconn": lambda p, g: oracle_is_k_connected(g, p.k),
+    "hampath": lambda p, g: oracle_hamiltonian_path(g),
+    "hamcycle": lambda p, g: oracle_hamiltonian_cycle(g),
+    "star": lambda p, g: oracle_spanning_star(g),
+    "contains": lambda p, g: oracle_contains_subgraph(g, p.pattern),
+    "contains-induced": lambda p, g: oracle_contains_induced(g, p.pattern),
+    "oddcycle": lambda p, g: oracle_odd_cycle(g),
+}
+
+
 def oracle_check(pred: Predicate, g: LabeledGraph) -> bool:
     """Evaluate ``pred`` on ``g`` by the independent brute-force route."""
     _check_cap(g.n)
-    kind = pred.kind
-    if kind == "connected":
-        return oracle_connected(g)
-    if kind == "kconn":
-        return oracle_is_k_connected(g, pred.k)
-    if kind == "hampath":
-        return oracle_hamiltonian_path(g)
-    if kind == "hamcycle":
-        return oracle_hamiltonian_cycle(g)
-    if kind == "star":
-        return oracle_spanning_star(g)
-    if kind == "contains":
-        return oracle_contains_subgraph(g, pred.pattern)
-    if kind == "contains-induced":
-        return oracle_contains_induced(g, pred.pattern)
-    if kind == "oddcycle":
-        return oracle_odd_cycle(g)
-    raise DomainError(f"unknown predicate kind {kind!r}")
+    return _ORACLES[pred.kind](pred, g)

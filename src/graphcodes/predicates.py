@@ -19,6 +19,7 @@ from .core import (
     adjacency_masks,
     complete_graph,
     edge_slots,
+    reach,
     two_coloring,
 )
 from .errors import CapabilityError, DomainError
@@ -42,29 +43,12 @@ def set_hamiltonian_cap(limit: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# reachability and k-connectivity (the reach BFS also prunes Hamiltonicity)
-
-
-def _reach(adj: list[int], seed: int, within: int) -> int:
-    """The closure of the vertex mask ``seed`` (a subset of ``within``) under
-    adjacency inside ``within``, by a frontier BFS; it stops as soon as the
-    closure is all of ``within``."""
-    reach = frontier = seed
-    while frontier and reach != within:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & within & ~reach
-        reach |= frontier
-    return reach
+# connectivity and k-connectivity (core's reach BFS also prunes Hamiltonicity)
 
 
 def _connected_mask(n: int, bits: int) -> bool:
     full = (1 << n) - 1
-    return _reach(adjacency_masks(n, bits), 1, full) == full
+    return reach(adjacency_masks(n, bits), 1, full) == full
 
 
 def _biconnected_from_adj(n: int, adj: list[int], keep: int | None = None) -> bool:
@@ -267,7 +251,7 @@ def _hamiltonian_mask(n: int, bits: int, cycle: bool) -> int | None:
     full = (1 << n) - 1
     if cycle and any(a.bit_count() < 2 for a in adj):
         return None
-    if _reach(adj, 1, full) != full:
+    if reach(adj, 1, full) != full:
         return None
 
     def rec(cur: int, visited: int) -> int | None:
@@ -278,7 +262,7 @@ def _hamiltonian_mask(n: int, bits: int, cycle: bool) -> int | None:
             return _edge_bit(cur, 0) if adj[cur] & 1 else None
         unvisited = full & ~visited
         cand = adj[cur] & unvisited
-        if _reach(adj, cand, unvisited) != unvisited:
+        if reach(adj, cand, unvisited) != unvisited:
             return None
         if cycle:
             avail = unvisited | (1 << cur) | 1
@@ -596,6 +580,10 @@ STAR = Predicate("star", "star")
 ODDCYCLE = Predicate("oddcycle", "oddcycle")
 K3 = contains(complete_graph(3), "k3")
 
+# the named predicates, in the order of the theorem table (bounds.PREDICATES)
+NAMED = {p.name: p for p in (CONNECTED, TWO_CONNECTED, THREE_CONNECTED,
+                             HAMPATH, HAMCYCLE, STAR, K3, ODDCYCLE)}
+
 
 def parse_predicate(text: str, pattern_loader=None) -> Predicate:
     """Resolve a CLI predicate name.
@@ -603,18 +591,8 @@ def parse_predicate(text: str, pattern_loader=None) -> Predicate:
     Accepted: connected, 2conn, 3conn, kconn:<k>, hampath, hamcycle, star,
     k3, oddcycle, sub:<pattern-file>, indsub:<pattern-file>.
     """
-    fixed = {
-        "connected": CONNECTED,
-        "2conn": TWO_CONNECTED,
-        "3conn": THREE_CONNECTED,
-        "hampath": HAMPATH,
-        "hamcycle": HAMCYCLE,
-        "star": STAR,
-        "k3": K3,
-        "oddcycle": ODDCYCLE,
-    }
-    if text in fixed:
-        return fixed[text]
+    if text in NAMED:
+        return NAMED[text]
     if text.startswith("kconn:"):
         try:
             k = int(text.split(":", 1)[1])

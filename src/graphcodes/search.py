@@ -17,7 +17,7 @@ from .core import Frozen, LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily
 from .linalg import gf2_ordered_basis, ordered_span
-from .predicates import Predicate
+from .predicates import NAMED, Predicate
 from . import bounds
 
 GOOD_EXACT_LIMIT = 5
@@ -219,24 +219,14 @@ def _translated_rows(n: int, table: int) -> list[int]:
     return rows
 
 
-def _compatibility_graph(
-    n: int, pred: Predicate, expect: bool
-) -> tuple[int, list[int]]:
-    """(table, rows) of the compatibility graph on the candidates, the
-    nonzero masks whose predicate verdict is ``expect``: the table from one
-    evaluation of the predicate's truth-table formula (``_candidates``) and
-    the rows by translating it (``_translated_rows``)."""
-    table = _candidates(n, pred, expect)
-    return table, _translated_rows(n, table)
-
-
 def _theorem_seed(pred: Predicate, n: int) -> tuple[int | None, int | None]:
     """(lower, upper): the family sizes a good search on this predicate may
     start from and stop at.  ``lower`` is the size of the theorem row's
     construction and ``upper`` its proven bound, kept only where it covers
     every family (the 3conn row caps linear families alone); None where
-    there is no row or no such value."""
-    if pred.name not in bounds.PREDICATES:
+    there is no row or no such value.  Only a predicate equal to a named
+    one has a row: a name alone may label any test."""
+    if NAMED.get(pred.name) != pred:
         return None, None
     rep = bounds.bound_report(pred.name, n)
     return rep.lower, rep.upper if rep.predicate == pred.name else None
@@ -297,13 +287,14 @@ def max_good_family(
     Translation symmetry pins the empty graph into the family, so this is
     1 + the clique number among the predicate-satisfying graphs.
 
-    A named predicate's theorem row seeds the search: it looks only for
-    families at least as large as the row's construction (``size_floor``)
-    and stops once it reaches the row's upper bound (``size_cap``), where
-    that bound covers every family.  The certificate is the one an unseeded
-    search finds.  So a search that times out has searched only at or above
-    the construction's size; its incumbent may then be the empty graph
-    alone, and ``build`` gives the construction's family."""
+    The theorem row of a predicate equal to a named one seeds the search:
+    it looks only for families at least as large as the row's construction
+    (``size_floor``) and stops once it reaches the row's upper bound
+    (``size_cap``), where that bound covers every family.  The certificate
+    is the one an unseeded search finds.  So a search that times out has
+    searched only at or above the construction's size; its incumbent may
+    then be the empty graph alone, and ``build`` gives the construction's
+    family."""
     if n > GOOD_EXACT_LIMIT:
         raise CapabilityError(
             f"exact good-family search is limited to n <= {GOOD_EXACT_LIMIT}"
@@ -333,9 +324,10 @@ def max_dual_family(
 
 def linear_rank_bound(pred: Predicate, n: int) -> int | None:
     """A proven cap on the rank of a linear family for this predicate, where
-    one is known; used to stop the basis search early.  The named predicates
-    take it from their theorem row, clique patterns from Turan's theorem."""
-    if pred.name in bounds.PREDICATES:
+    one is known; used to stop the basis search early.  A predicate equal to
+    a named one takes it from its theorem row, clique patterns from Turan's
+    theorem."""
+    if NAMED.get(pred.name) == pred:
         return bounds.bound_report(pred.name, n).upper.bit_length() - 1
     if pred.kind == "contains" and pred.pattern is not None:
         p = pred.pattern

@@ -84,26 +84,25 @@ def _scan_pairs(
     """(first failing pair or None, predicate calls) of the lexicographic
     pair scan.  ``below`` is 0, or the smallest failing difference of a
     coset family: every smaller difference passes and ``below`` fails, so
-    neither costs a call."""
+    neither costs a call.  The scan stops at the first failing difference,
+    so it remembers only the passing ones, up to ``MEMO_CAP``."""
     test = pred.test_mask
-    verdicts: dict[int, bool] = {}
+    passed: set[int] = set()
     calls = 0
     m = len(masks)
     for i in range(m - 1):
         mi = masks[i]
         for j in range(i + 1, m):
             d = mi ^ masks[j]
-            ok = verdicts.get(d)
-            if ok is None:
-                if d <= below:
-                    ok = d < below
-                else:
-                    calls += 1
-                    ok = test(n, d) == expect
-                if len(verdicts) < MEMO_CAP:
-                    verdicts[d] = ok
-            if not ok:
+            if d < below or d in passed:
+                continue
+            if d == below:
                 return (i, j), calls
+            calls += 1
+            if test(n, d) != expect:
+                return (i, j), calls
+            if len(passed) < MEMO_CAP:
+                passed.add(d)
     return None, calls
 
 

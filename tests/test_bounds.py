@@ -1,12 +1,15 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcodes import (
     CapabilityError,
     DomainError,
     GraphCodesError,
+    LabeledGraph,
     UnsupportedParameterError,
     complete_graph,
     cycle_graph,
@@ -76,6 +79,69 @@ def test_chromatic_number():
     assert B.chromatic_number(path_graph(4)) == 2
     with pytest.raises(CapabilityError):
         B.chromatic_number(empty_graph(11))
+
+
+def reference_colorable(n, adj, k):
+    """Whether the graph with neighbor masks ``adj`` has a proper k-coloring,
+    by backtracking over vertices in decreasing degree: the test that
+    chromatic_number ran before it became the cover search."""
+    color = [-1] * n
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+
+    def assign(idx):
+        if idx == n:
+            return True
+        v = order[idx]
+        used = 0
+        for u in range(n):
+            if adj[v] >> u & 1 and color[u] >= 0:
+                used |= 1 << color[u]
+        limit = min(k, idx + 1)  # new colors beyond the first unseen are symmetric
+        for c in range(limit):
+            if not used >> c & 1:
+                color[v] = c
+                if assign(idx + 1):
+                    return True
+                color[v] = -1
+        return False
+
+    return assign(0)
+
+
+def reference_chromatic_number(g):
+    adj = g.adjacency()
+    return next(k for k in range(1, g.n + 1)
+                if reference_colorable(g.n, adj, k))
+
+
+def brute_chromatic_number(g):
+    """The fewest colors of a proper coloring, over every assignment."""
+    edges = [(i - 1, j - 1) for i, j in g.edges()]
+    return next(k for k in range(1, g.n + 1)
+                if any(all(c[a] != c[b] for a, b in edges)
+                       for c in product(range(k), repeat=g.n)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_chromatic_number_matches_brute_force(n):
+    for bits in range(1 << edge_slots(n)):
+        g = LabeledGraph(n, bits)
+        assert B.chromatic_number(g) == brute_chromatic_number(g), bits
+
+
+@pytest.mark.slow
+def test_chromatic_number_matches_reference_on_every_graph_n6():
+    for bits in range(1 << edge_slots(6)):
+        g = LabeledGraph(6, bits)
+        assert B.chromatic_number(g) == reference_chromatic_number(g), bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, B.CHROMATIC_CAP).flatmap(
+    lambda n: st.builds(LabeledGraph, st.just(n),
+                        st.integers(0, (1 << edge_slots(n)) - 1))))
+def test_chromatic_number_matches_reference_on_drawn_graphs(g):
+    assert B.chromatic_number(g) == reference_chromatic_number(g)
 
 
 def test_partition_number():

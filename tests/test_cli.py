@@ -357,6 +357,22 @@ def test_oversized_builds_exit_2_at_once(capsys, argv, shown):
         f"error: {shown} exceeds the configured vertex limit 64\n")
 
 
+@pytest.mark.parametrize("pred, n", (
+    ("hamcycle", "1000000000000000004"),
+    ("hampath", "1000000000000000003"),
+))
+def test_oversized_hamiltonian_bounds_exit_2_at_once(capsys, pred, n):
+    # the size cap is checked before the primality test of n - 1 or n,
+    # whose trial division would run for hours at these sizes
+    start = time.perf_counter()
+    assert run("bound", "--pred", pred, "--n", n) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a bound of 2^1000000000000000002 "
+                            "exceeds the size cap 2^268435456\n")
+
+
 def test_verify_json_reports_method_and_calls(tmp_path, capsys):
     out = tmp_path / "sc5.json"
     assert run("build", "--family", "split-clique", "--n", "5",

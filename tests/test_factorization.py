@@ -1,6 +1,7 @@
 import pytest
 
-from graphcodes import DomainError, complete_graph, has_odd_cycle
+from graphcodes import (DomainError, complete_graph, has_hamiltonian_cycle,
+                        has_odd_cycle)
 from graphcodes.factorization import (
     OneFactorization,
     proper_edge_coloring,
@@ -34,6 +35,15 @@ def test_perfection_for_prime_case(p):
 
 def test_perfection_fails_for_m16():
     assert not verify_p1f(starter_factorization(16))
+
+
+@pytest.mark.parametrize("m", range(4, 17, 2))
+def test_perfection_matches_hamiltonian_cycles(m):
+    matchings = starter_factorization(m).matchings
+    perfect = all(has_hamiltonian_cycle(a ^ b)
+                  for i, a in enumerate(matchings) for b in matchings[i + 1:])
+    assert verify_p1f(starter_factorization(m)) == perfect
+    assert perfect == (m not in (10, 16))
 
 
 def test_one_factorization_validation():

@@ -45,6 +45,10 @@ def test_oracle_agreement_sampled_n6():
         assert P.vertex_connectivity(g) == O.oracle_vertex_connectivity(g)
 
 
+def test_every_predicate_kind_has_an_oracle():
+    assert set(O._ORACLES) == set(P._KINDS)
+
+
 def test_oracle_cap():
     with pytest.raises(CapabilityError):
         O.oracle_check(P.CONNECTED, complete_graph(9))

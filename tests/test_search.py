@@ -3,7 +3,7 @@ import time
 import pytest
 
 from graphcodes import (CapabilityError, DomainError, GraphFamily,
-                        complete_graph, empty_graph)
+                        complete_graph, empty_graph, path_graph)
 from graphcodes import bounds
 from graphcodes import constructions as C
 from graphcodes import predicates as P
@@ -223,7 +223,8 @@ def test_extended_good_search_n5():
 def test_hampath_n5_search_tree_and_counters():
     # pins the size of the unseeded branch-and-bound tree, the seeded one
     # (the theorem row's floor 14 and cap 15 cut it) and the search counters
-    table, rows = S._compatibility_graph(5, P.HAMPATH, True)
+    table = S._candidates(5, P.HAMPATH, True)
+    rows = S._translated_rows(5, table)
     budget = S._Budget(None, None)
     clique, exhausted = S._max_clique(rows, budget, start=table)
     assert (len(clique), exhausted, budget.nodes) == (15, False, 187_756)
@@ -270,7 +271,8 @@ def _compatibility_cases():
 @pytest.mark.parametrize("pred, n, expect", _compatibility_cases())
 def test_translated_rows_match_the_pairwise_reference(pred, n, expect):
     cands, adj = reference_compatibility_graph(n, pred, expect)
-    table, rows = S._compatibility_graph(n, pred, expect)
+    table = S._candidates(n, pred, expect)
+    rows = S._translated_rows(n, table)
     assert table == sum(1 << c for c in cands)
     expected = [0] * (1 << n * (n - 1) // 2)
     for c, a in zip(cands, adj):
@@ -321,6 +323,27 @@ def test_dual_and_unnamed_searches_are_unseeded():
     assert S._theorem_seed(P.contains(complete_graph(4)), 5) == (None, None)
     result = S.max_dual_family(4, P.CONNECTED)
     assert (result.size_floor, result.size_cap) == (None, None)
+
+
+def test_named_predicates_are_the_theorem_table_rows():
+    assert tuple(P.NAMED) == bounds.PREDICATES
+    assert all(P.parse_predicate(name) is pred
+               for name, pred in P.NAMED.items())
+
+
+def test_a_predicate_named_like_a_row_is_unseeded():
+    # a theorem row applies to the named predicate, not to every predicate
+    # that carries its name: these took the k3 and star rows and returned
+    # 4 and 5 as exact optima
+    p3 = P.contains(path_graph(3), name="k3")
+    assert S.linear_rank_bound(p3, 4) is None
+    linear = S.max_linear_family(4, p3)
+    assert (linear.optimum, linear.status) == (16, "exact")
+    connected = P.Predicate("star", "connected")
+    assert S._theorem_seed(connected, 4) == (None, None)
+    good = S.max_good_family(4, connected)
+    assert (good.optimum, good.status, good.size_floor, good.size_cap) == \
+        (8, "exact", None, None)
 
 
 def test_wrong_theorem_row_is_an_internal_error(monkeypatch):
