@@ -5,14 +5,15 @@ proven upper bound.
 Sizes are exact Python integers (arbitrary precision); a theorem row whose
 bound would exceed 2^BOUND_LOG2_CAP, or an odd-n 2conn row past
 ODD_2CONN_N_CAP, raises CapabilityError instead of computing it.
-Fractional exponents (the odd-n edge-cover bound) are carried as exact
-Fractions.
+Theorem-row exponents are integers.  The fractional values, Shearer's
+star-dual exponents and distancity, are exact Fractions; ``fractions`` is
+imported only where they are computed, so that processes that only read
+theorem rows do not load it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import comb
 
 from .core import Frozen, LabeledGraph, _is_prime, adjacency_masks, edge_slots
@@ -37,9 +38,9 @@ def product_upper_bound(n: int, dual_lower_log2: int) -> int:
 
 def turan_number(n: int, r: int) -> int:
     """Maximum edges of an n-vertex graph with no K_r: the edge count of the
-    balanced complete (r-1)-partite graph."""
-    if r < 3:
-        raise DomainError("need r >= 3")
+    balanced complete (r-1)-partite graph (none for r = 2)."""
+    if r < 2:
+        raise DomainError("need r >= 2")
     parts = r - 1
     q, rem = divmod(n, parts)
     sizes = [q + 1] * rem + [q] * (parts - rem)
@@ -62,6 +63,8 @@ def shearer_dual_star_bounds(n: int) -> tuple[Fraction, Fraction]:
     """(log2 lower, log2 upper) for the largest family with no spanning star
     in any difference: C(n,2) - ceil(n/2) <= log2 D <= C(n,2) - n/2, the
     upper side via Shearer's projection inequality over the vertex stars."""
+    from fractions import Fraction
+
     if n < 2:
         raise DomainError("need n >= 2")
     slots = edge_slots(n)
@@ -174,6 +177,8 @@ def distancity(pattern: LabeledGraph, induced: bool = False) -> Fraction:
         raise UnsupportedParameterError(
             "distancity formula needs a pattern with at least one edge"
         )
+    from fractions import Fraction
+
     del induced  # same value either way
     return Fraction(1, chromatic_number(pattern) - 1)
 
@@ -187,6 +192,8 @@ def distancity_of_class(patterns) -> Fraction:
     chi_min = min(chromatic_number(p) for p in pats)
     if any(p.is_empty for p in pats) or chi_min < 2:
         raise UnsupportedParameterError("patterns must each contain an edge")
+    from fractions import Fraction
+
     return Fraction(1, chi_min - 1)
 
 
@@ -208,22 +215,16 @@ class BoundReport(Frozen):
 
     __slots__ = ("n", "predicate", "lower", "lower_source", "upper",
                  "upper_log2", "upper_source")
-    _fields = __slots__
 
     def __init__(
         self, n: int, predicate: str, lower: int | None,
         lower_source: str | None, upper: int | None,
-        upper_log2: Fraction | None, upper_source: str | None,
+        upper_log2: int | None, upper_source: str | None,
     ) -> None:
         if lower is not None and upper is not None and lower > upper:
             raise DomainError("lower bound exceeds upper bound")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "lower_source", lower_source)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "upper_log2", upper_log2)
-        object.__setattr__(self, "upper_source", upper_source)
+        self._set(n, predicate, lower, lower_source, upper, upper_log2,
+                  upper_source)
 
     @property
     def tight(self) -> bool:
@@ -264,7 +265,7 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
         upper = _pow2(product_upper_bound(n, edge_slots(n - 1)))
         return BoundReport(
             n, "connected", _pow2(n - 1), "split-clique", upper,
-            Fraction(n - 1), "product bound via dual-isolated",
+            n - 1, "product bound via dual-isolated",
         )
     if pred_name == "2conn":
         upper_exp = product_upper_bound(n, edge_slots(n - 1) + 1)
@@ -282,7 +283,7 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
             lower = _pow2(n - 2) - comb(n - 2, (n - 3) // 2)
             source = "odd-2conn"
         return BoundReport(
-            n, "2conn", lower, source, upper, Fraction(upper_exp),
+            n, "2conn", lower, source, upper, upper_exp,
             "product bound via dual-pendant",
         )
     if pred_name == "3conn":
@@ -294,7 +295,7 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
         else:
             lower, source = None, None
         return BoundReport(
-            n, "3conn-linear", lower, source, upper, Fraction(exp),
+            n, "3conn-linear", lower, source, upper, exp,
             "power-of-two cap under the product bound via dual-lowdeg",
         )
     if pred_name == "hampath":
@@ -302,7 +303,7 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
         built = n % 2 == 1 and _is_prime(n)
         lower, source = (upper, "hampath") if built else (None, None)
         return BoundReport(
-            n, "hampath", lower, source, upper, Fraction(n - 1),
+            n, "hampath", lower, source, upper, n - 1,
             "product bound via dual-isolated",
         )
     if pred_name == "hamcycle":
@@ -312,7 +313,7 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
         built = n % 2 == 0 and _is_prime(n - 1)
         lower, source = (upper, "hamcycle") if built else (None, None)
         return BoundReport(
-            n, "hamcycle", lower, source, upper, Fraction(n - 2),
+            n, "hamcycle", lower, source, upper, n - 2,
             "product bound via dual-pendant",
         )
     if pred_name == "star":
@@ -328,7 +329,7 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
         elif pred_name == "oddcycle" and n == 7:
             lower, source = 512, "codd-7"
         return BoundReport(
-            n, pred_name, lower, source, _pow2(exp), Fraction(exp),
+            n, pred_name, lower, source, _pow2(exp), exp,
             "subgraph bound via the triangle-free edge maximum",
         )
     raise GraphCodesError(f"no bound row for predicate {pred_name!r}")

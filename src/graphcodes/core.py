@@ -159,15 +159,27 @@ def two_coloring(adj: list[int]) -> int | None:
 class Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass keeps its fields in ``__slots__``, sets them in ``__init__``
-    through ``object.__setattr__`` and names its constructor arguments, in
-    order, in ``_fields``.  Instances refuse assignment and deletion, equal
-    the instances of their own class with an equal ``_key()`` and hash on
-    it, show ``_fields`` in their repr, and pickle and copy by calling the
-    class on ``_fields`` again, so the constructor's checks run."""
+    A subclass keeps its fields in ``__slots__``, stores them in
+    ``__init__`` with one ``_set`` call and names its constructor arguments,
+    in order, in ``_fields``, which defaults to ``__slots__``.  Instances
+    refuse assignment and deletion, equal the instances of their own class
+    with an equal ``_key()`` and hash on it, show ``_fields`` in their repr,
+    and pickle and copy by calling the class on ``_fields`` again, so the
+    constructor's checks run."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a subclass that declares no slots of its own keeps its base's
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__dict__.get("__slots__") or cls._fields
+
+    def _set(self, *values) -> None:
+        """Store ``values`` into ``__slots__``, in order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         """What equality and hashing compare: every field, unless a
@@ -201,7 +213,6 @@ class LabeledGraph(Frozen):
     """Graph on vertex set {1..n}; bit k of ``bits`` is edge slot k."""
 
     __slots__ = ("n", "bits")
-    _fields = ("n", "bits")
 
     def __init__(self, n: int, bits: int = 0) -> None:
         if n < 1:

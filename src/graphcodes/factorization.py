@@ -17,7 +17,6 @@ class OneFactorization(Frozen):
     """m-1 pairwise edge-disjoint perfect matchings partitioning K_m."""
 
     __slots__ = ("m", "matchings")
-    _fields = __slots__
 
     def __init__(self, m: int, matchings) -> None:
         matchings = tuple(matchings)
@@ -36,8 +35,7 @@ class OneFactorization(Frozen):
             acc |= matching.bits
         if acc != complete_graph(m).bits:
             raise DomainError("matchings do not cover K_m")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "matchings", matchings)
+        self._set(m, matchings)
 
 
 def starter_factorization(m: int) -> OneFactorization:

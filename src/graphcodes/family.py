@@ -28,7 +28,6 @@ class GraphFamily(Frozen):
     Equality and hashing ignore ``provenance`` and ``claimed_size``."""
 
     __slots__ = ("n", "graphs", "provenance", "claimed_size")
-    _fields = __slots__
 
     def __init__(self, n: int, graphs, provenance: dict | None = None,
                  claimed_size: int | None = None) -> None:
@@ -45,11 +44,8 @@ class GraphFamily(Frozen):
                 f"construction produced {len(graphs)} graphs, "
                 f"expected {claimed_size}"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "graphs", graphs)
-        object.__setattr__(self, "provenance",
-                           {} if provenance is None else provenance)
-        object.__setattr__(self, "claimed_size", claimed_size)
+        self._set(n, graphs, {} if provenance is None else provenance,
+                  claimed_size)
 
     def _key(self) -> tuple:
         return (self.n, self.graphs)
@@ -74,7 +70,6 @@ class ImplicitFamily(Frozen):
     Equality and hashing ignore ``provenance``."""
 
     __slots__ = ("n", "base_bits", "free_mask", "provenance")
-    _fields = __slots__
 
     def __init__(self, n: int, base_bits: int, free_mask: int,
                  provenance: dict | None = None) -> None:
@@ -82,11 +77,8 @@ class ImplicitFamily(Frozen):
             raise DomainError("base bits must avoid the free slots")
         if (base_bits | free_mask) >> edge_slots(n):
             raise DomainError("slot masks out of range")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "base_bits", base_bits)
-        object.__setattr__(self, "free_mask", free_mask)
-        object.__setattr__(self, "provenance",
-                           {} if provenance is None else provenance)
+        self._set(n, base_bits, free_mask,
+                  {} if provenance is None else provenance)
 
     def _key(self) -> tuple:
         return (self.n, self.base_bits, self.free_mask)
@@ -130,14 +122,10 @@ class LoadedFamily(Frozen):
     """Raw contents of a family file, before interpretation."""
 
     __slots__ = ("n", "graphs", "role", "provenance")
-    _fields = __slots__
 
     def __init__(self, n: int, graphs: tuple[LabeledGraph, ...],
                  role: str | None, provenance: dict) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "graphs", graphs)
-        object.__setattr__(self, "role", role)
-        object.__setattr__(self, "provenance", provenance)
+        self._set(n, graphs, role, provenance)
 
     def to_graph_family(self) -> GraphFamily:
         return GraphFamily(self.n, self.graphs, provenance=dict(self.provenance))

@@ -90,11 +90,7 @@ class LinearFamily(Frozen):
                     f"generator on {g.n} vertices in a family on {n}"
                 )
         rows = gf2_ordered_basis(g.bits for g in basis)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "rank", len(rows))
-        object.__setattr__(self, "redundant", len(basis) > len(rows))
-        object.__setattr__(self, "rows", tuple(rows))
+        self._set(n, basis, len(rows), len(basis) > len(rows), tuple(rows))
 
     def _key(self) -> tuple:
         return (self.n, self.basis, self.rank, self.redundant)

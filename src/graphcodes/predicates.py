@@ -456,7 +456,7 @@ _KINDS: dict[str, _Kind] = {
         2, _CONNECTIVITY_MIN, False,
         lambda p, n, bits: _is_k_connected_mask(n, bits, p.k),
         lambda b, p, n, e, ones: b.k_connected(n, e, ones, p.k),
-        lambda p, n: sum(comb(n, s) for s in range(p.k)) * n * n),
+        lambda p, n: sum(comb(n, s) for s in range(min(p.k, n + 1))) * n * n),
     "hampath": _Kind(
         2, "a Hamiltonian path needs at least 2 vertices", True,
         lambda p, n, bits: _hamiltonian_mask(n, bits, False) is not None,
@@ -500,16 +500,12 @@ class Predicate(Frozen):
     """A named total boolean test on labeled graphs."""
 
     __slots__ = ("name", "kind", "k", "pattern")
-    _fields = __slots__
 
     def __init__(self, name: str, kind: str, k: int | None = None,
                  pattern: LabeledGraph | None = None) -> None:
         if kind not in _KINDS:
             raise DomainError(f"unknown predicate kind {kind!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "pattern", pattern)
+        self._set(name, kind, k, pattern)
 
     def _domain(self, n: int) -> _Kind:
         """The kind's entry, once n is checked against its minimum and the

@@ -32,7 +32,6 @@ class SearchResult(Frozen):
     __slots__ = ("optimum", "certificate", "explored", "status", "rank",
                  "candidates", "compat_edges", "size_floor", "size_cap",
                  "phase_seconds")
-    _fields = __slots__
 
     def __init__(
         self,
@@ -56,16 +55,8 @@ class SearchResult(Frozen):
         # for compatibility searches, classify and basis for linear ones
         phase_seconds: dict[str, float] | None = None,
     ) -> None:
-        object.__setattr__(self, "optimum", optimum)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "explored", explored)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "compat_edges", compat_edges)
-        object.__setattr__(self, "size_floor", size_floor)
-        object.__setattr__(self, "size_cap", size_cap)
-        object.__setattr__(self, "phase_seconds", phase_seconds)
+        self._set(optimum, certificate, explored, status, rank, candidates,
+                  compat_edges, size_floor, size_cap, phase_seconds)
 
 
 class _BudgetExhausted(Exception):

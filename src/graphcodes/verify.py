@@ -46,7 +46,6 @@ class VerifyReport(Frozen):
 
     __slots__ = ("passed", "mode", "pairs_checked", "witness", "method",
                  "predicate_calls")
-    _fields = __slots__
 
     def __init__(
         self, passed: bool, mode: str, pairs_checked: int,
@@ -55,12 +54,8 @@ class VerifyReport(Frozen):
     ) -> None:
         if passed != (witness is None):
             raise DomainError("pass verdict and witness disagree")
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "pairs_checked", pairs_checked)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "predicate_calls", predicate_calls)
+        self._set(passed, mode, pairs_checked, witness, method,
+                  predicate_calls)
 
 
 def _pair_rank(i: int, j: int, m: int) -> int:
@@ -147,106 +142,79 @@ def verify_dual_family(fam: GraphFamily, pred: Predicate) -> VerifyReport:
     return _run_pairwise(fam, pred, False, "dual")
 
 
-def _table_width(n: int, rank: int, ops: int) -> int | None:
-    """The block width of the table path for a span of this rank, or None
-    when one table per block of 2^w members costs more than one kernel call
-    per member: the table is used when ``ops``, its formula's estimated
-    big-int operations, is at most 2^w * C(n, 2) for w = min(rank,
-    ``bitslice.BLOCK_WIDTH``).  w <= rank, so bitslice is imported only
-    once the table may pay."""
-    slots = edge_slots(n)
-    if not rank or ops > (1 << rank) * slots:
-        return None
-    from .bitslice import BLOCK_WIDTH
-
-    width = min(rank, BLOCK_WIDTH)
-    return width if ops <= (1 << width) * slots else None
-
-
-def _table_scan(n: int, rows, pred: Predicate, width: int,
-                expect: bool) -> tuple[int | None, int]:
-    """Decide the sorted span in blocks of 2^width members, one truth table
-    per block over the ordered basis: bit i of block b is the verdict on
-    member b << width | i, so the first failing member is the lowest failing
-    bit of the first block that has one."""
-    ones = (1 << (1 << width)) - 1
-    blocks = 1 << len(rows) - width
-    for b in range(blocks):
-        table = pred.table(n, b, width, rows)
-        fails = ones & ~table if expect else table
-        if b == 0:
-            fails &= ~1  # member 0 is the empty graph, never a difference
-        if fails:
-            return b << width | (fails & -fails).bit_length() - 1, b + 1
-    return None, blocks
-
-
-def _cover_scan(n: int, rows, pred: Predicate,
-                witness) -> tuple[int | None, int]:
-    """Decide the sorted span of a monotone predicate by witnesses, in
-    blocks of 2^width members: the lowest undecided member gets a witness
-    W, and the AND of W's slot columns over the block is every member that
-    contains W, so P holds on all of them.  A member without a witness is
-    the first failing member.  Member b << width | k is the XOR of the
-    high rows' span element b and the low rows' element k."""
-    from .bitslice import BLOCK_WIDTH, slot_matrix
-
-    width = min(len(rows), BLOCK_WIDTH)
-    low, high = ordered_span(rows[:width]), ordered_span(rows[width:])
-    calls = 0
-    for b, top in enumerate(high):
-        cols, ones = slot_matrix(n, b, width, rows)
-        undecided = ones & ~1 if b == 0 else ones  # member 0 is empty
-        while undecided:
-            bit = undecided & -undecided
-            calls += 1
-            w = witness(pred, n, top ^ low[bit.bit_length() - 1])
-            if w is None:
-                return b << width | bit.bit_length() - 1, calls
-            covered = undecided
-            while w:
-                s = w & -w
-                covered &= cols[s.bit_length() - 1]
-                w ^= s
-            # bit is covered, as W lies within its member; clearing it
-            # explicitly ends the loop whatever the witness
-            undecided ^= covered | bit
-    return None, calls
-
-
 def _first_failure(n: int, rows, pred: Predicate,
                    expect: bool) -> tuple[int | None, int, str]:
     """(index of the first member of the sorted span of the ordered basis
     ``rows`` on which the predicate is not ``expect``, or None; predicate
-    calls; method), skipping member 0, the empty graph.  Three paths, tried
-    in this order:
+    calls; method), skipping member 0, the empty graph.
 
-    - where the predicate's truth-table formula is cheaper than one kernel
-      call per member (``_table_width``), the members are decided a block
-      at a time from ``Predicate.table`` (method "table"), and the calls
-      count the tables;
+    The span is walked in blocks of 2^width members, member b << width | k
+    being the XOR of the high rows' span element b and the low rows'
+    element k.  Each block keeps a bitset of its undecided members; the
+    walk decides the lowest one and clears every member that decision
+    covers, one predicate call each.  The method and width are chosen once:
+
+    - where the predicate's truth-table formula costs at most one kernel
+      call per member (its estimated big-int operations at most 2^width *
+      C(n, 2), width = min(rank, ``bitslice.BLOCK_WIDTH``)), one
+      ``Predicate.table`` decides the whole block (method "table"), so the
+      calls count the tables;
     - on a good check (``expect`` true), a monotone predicate (one whose
-      kind has a witness) takes the cover of ``_cover_scan`` (method
-      "cover"), and the calls count the witnesses searched, at most i;
-    - otherwise the members are tested in order, one kernel call each
-      (method "linear"), and the calls are i, or 2^rank - 1 on a pass."""
+      kind has a witness) gets a witness W for the member, which covers
+      every member of the block that contains W, the AND of W's slot
+      columns (method "cover"), so the calls count the witnesses, at most i;
+    - otherwise a kernel call decides the member alone (method "linear"),
+      in blocks of rank // 2 rows, so the calls are i, or 2^rank - 1 on a
+      pass."""
     kind = pred._domain(n)
-    width = _table_width(n, len(rows), kind.ops(pred, n))
-    if width is not None:
-        return (*_table_scan(n, rows, pred, width, expect), "table")
-    if expect and kind.witness is not None:
-        return (*_cover_scan(n, rows, pred, kind.witness), "cover")
-    # member hi << half | lo is the XOR of the high rows' span element hi
-    # and the low rows' element lo, so the span is walked without a list
-    half = len(rows) // 2
-    low = ordered_span(rows[:half])
-    members = (top ^ m for top in ordered_span(rows[half:]) for m in low)
-    next(members)  # the empty graph
-    for i, member in enumerate(members, 1):
-        if pred.test_mask(n, member) != expect:
-            return i, i, "linear"
-    last = (1 << len(rows)) - 1
-    return None, last, "linear"
+    rank, slots, ops = len(rows), edge_slots(n), kind.ops(pred, n)
+    method, width = "linear", rank // 2
+    # bitslice is imported only once the table may pay
+    if rank and ops <= (1 << rank) * slots:
+        from .bitslice import BLOCK_WIDTH
+
+        if ops <= (1 << min(rank, BLOCK_WIDTH)) * slots:
+            method, width = "table", min(rank, BLOCK_WIDTH)
+    if method == "linear" and expect and kind.witness is not None:
+        from .bitslice import BLOCK_WIDTH, slot_matrix
+
+        method, width = "cover", min(rank, BLOCK_WIDTH)
+    # the table decides by block number alone, so only the other paths
+    # list the low span
+    low = () if method == "table" else ordered_span(rows[:width])
+    ones = (1 << (1 << width)) - 1
+    calls = 0
+    for b, top in enumerate(ordered_span(rows[width:])):
+        undecided = ones ^ 1 if b == 0 else ones  # member 0 is empty
+        if method == "cover":
+            cols = slot_matrix(n, b, width, rows)[0]
+        while undecided:
+            bit = undecided & -undecided
+            calls += 1
+            if method == "table":
+                table = pred.table(n, b, width, rows)
+                failed = undecided & (ones ^ table if expect else table)
+                covered = undecided
+            elif method == "cover":
+                w = kind.witness(pred, n, top ^ low[bit.bit_length() - 1])
+                failed = bit if w is None else 0
+                # the members that contain W, bit among them; clearing bit
+                # explicitly ends the walk whatever the witness
+                covered = undecided
+                while w:
+                    s = w & -w
+                    covered &= cols[s.bit_length() - 1]
+                    w ^= s
+                covered |= bit
+            else:
+                member = top ^ low[bit.bit_length() - 1]
+                failed = bit if pred.test_mask(n, member) != expect else 0
+                covered = bit
+            if failed:
+                return (b << width | (failed & -failed).bit_length() - 1,
+                        calls, method)
+            undecided ^= covered
+    return None, calls, method
 
 
 def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:

@@ -36,6 +36,15 @@ def test_turan_number_examples():
     assert B.turan_number(7, 4) == 16
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_turan_number_of_an_edge_is_zero(n):
+    # ex(n, K_2) = 0: the one-part "partite" graph has no edges
+    assert B.turan_number(n, 2) == 0
+    assert B.subgraph_upper_bound(n, 2) == edge_slots(n)
+    with pytest.raises(DomainError, match="need r >= 2"):
+        B.turan_number(n, 1)
+
+
 @pytest.mark.parametrize("n", range(1, 31))
 def test_turan_triangle_closed_form(n):
     assert B.turan_number(n, 3) == (n // 2) * ((n + 1) // 2)

@@ -373,6 +373,30 @@ def test_oversized_hamiltonian_bounds_exit_2_at_once(capsys, pred, n):
                             "exceeds the size cap 2^268435456\n")
 
 
+def test_huge_kconn_verify_fails_at_once(tmp_path, capsys):
+    # the table's cost estimate sums C(n, s) only up to s = n, not for every
+    # s < k, which at this k would run for hours
+    out = tmp_path / "h3.json"
+    assert run("build", "--family", "hamming-3conn", "--k", "3",
+               "--out", str(out)) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run("verify", "--pred", "kconn:1000000000000", str(out)) == 1
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.startswith(
+        "FAIL [linear] checked 1 members\n")
+
+
+def test_linear_search_for_an_edge_pattern(tmp_path, capsys):
+    # K_2 is a clique pattern, whose Turan rank cap ex(n, K_2) = 0 gives
+    # the whole edge space
+    pattern = tmp_path / "k2.json"
+    save_family(pattern, 2, [complete_graph(2)])
+    assert run("search", "--pred", f"sub:{pattern}", "--n", "4",
+               "--mode", "linear") == 0
+    assert capsys.readouterr().out.startswith("optimum 64 [exact]")
+
+
 def test_verify_json_reports_method_and_calls(tmp_path, capsys):
     out = tmp_path / "sc5.json"
     assert run("build", "--family", "split-clique", "--n", "5",

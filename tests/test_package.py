@@ -173,6 +173,10 @@ print(json.dumps(sorted(m for m in sys.argv[2:] if m in sys.modules)))
 # stdlib modules no command may load: `dataclasses` imports the rest, which
 # together cost a fresh process about 10 ms
 HEAVY_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# ... and the commands that read only integer theorem rows must not load
+# `fractions` (with `decimal` and `numbers`, about 4.5 ms), which only the
+# star-dual bounds and distancity need
+NO_FRACTIONS = {"bound", "search"}
 
 
 @pytest.mark.parametrize("command", sorted(FOOTPRINTS))
@@ -190,9 +194,11 @@ def test_command_imports_only_what_it_runs(tmp_path, command):
         save_family(coset, 5, split_clique_family(5).graphs)
         argv = [a.format(family=family, basis=basis, coset=coset)
                 for a in argv]
+    absent = HEAVY_STDLIB + (("fractions",) if command in NO_FRACTIONS
+                             else ())
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv), *HEAVY_STDLIB],
+        [sys.executable, "-c", PROBE, json.dumps(argv), *absent],
         env=env, capture_output=True, text=True, check=True)
     modules, heavy = proc.stdout.splitlines()
     assert set(json.loads(modules)) == expected

@@ -34,6 +34,15 @@ def test_max_dual_small_values():
     assert verify_dual_family(result.certificate, P.CONNECTED).passed
 
 
+@pytest.mark.parametrize("n", (3, 4))
+def test_linear_search_for_an_edge_is_the_whole_space(n):
+    # every nonempty graph contains K_2, so the whole edge space is linear
+    # good, and the rank cap C(n, 2) - ex(n, K_2) is met
+    result = S.max_linear_family(n, P.contains(complete_graph(2)))
+    assert (result.optimum, result.rank, result.status) == (
+        2 ** edge_slots(n), edge_slots(n), "exact")
+
+
 def test_search_bracketed_by_construction_and_bound():
     result = S.max_good_family(4, P.CONNECTED)
     assert len(C.split_clique_family(4)) <= result.optimum <= 2 ** 3

@@ -244,3 +244,24 @@ def test_validation_errors_are_unchanged(build, error, message):
         build()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value, text, compared", CASES, ids=IDS)
+def test_every_slot_is_set(value, text, compared):
+    for name in type(value).__slots__:
+        getattr(value, name)
+
+
+@pytest.mark.parametrize("values", [("x", "connected"),
+                                    ("x", "connected", None, None, 1)])
+def test_set_refuses_the_wrong_number_of_values(values):
+    with pytest.raises(ValueError, match="zip"):
+        Predicate.__new__(Predicate)._set(*values)
+
+
+def test_fields_default_to_the_slots():
+    for cls in {type(value) for value, _, _ in CASES}:
+        if cls is LinearFamily:
+            assert cls._fields == ("n", "basis") != cls.__slots__
+        else:
+            assert cls._fields == cls.__slots__, cls.__name__
