@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from math import comb
 
-from .core import Frozen, LabeledGraph, _is_prime, adjacency_masks, edge_slots
+from .core import (Frozen, LabeledGraph, _fits_str, _fmt_size, _is_prime,
+                   adjacency_masks, edge_slots)
 from .errors import (CapabilityError, DomainError, GraphCodesError,
                      UnsupportedParameterError)
 
@@ -41,7 +42,9 @@ def turan_number(n: int, r: int) -> int:
     balanced complete (r-1)-partite graph (none for r = 2)."""
     if r < 2:
         raise DomainError("need r >= 2")
-    parts = r - 1
+    parts = min(r - 1, n)  # parts past the n-th are empty
+    if parts == 0:
+        return 0
     q, rem = divmod(n, parts)
     sizes = [q + 1] * rem + [q] * (parts - rem)
     return comb(n, 2) - sum(comb(s, 2) for s in sizes)
@@ -335,52 +338,67 @@ def bound_report(pred_name: str, n: int) -> BoundReport:
     raise GraphCodesError(f"no bound row for predicate {pred_name!r}")
 
 
-def dual_report(pred_name: str, n: int) -> dict | None:
-    """The dual-family row printed under a predicate's theorem row, as log2
-    bounds; only spanning stars have one (Shearer's projection bounds)."""
-    if pred_name != "star":
-        return None
-    lo, hi = shearer_dual_star_bounds(n)
-    return {"predicate": "star-dual", "lower_log2": lo, "upper_log2": hi,
-            "tight": lo == hi}
+# the fields of a theorem row, as `bound --json` and `table` print them
+_ROW_KEYS = ("n", "predicate", "lower", "lower_source", "upper",
+             "upper_source", "tight")
 
 
-def fmt_log2(x: Fraction) -> str:
-    if x.denominator == 1:
-        return f"2^{x.numerator}"
-    return f"2^{float(x)}"
+def bound_output(pred_name: str, n: int) -> tuple[dict, list[str]]:
+    """What `bound` prints: the JSON payload and the text lines of a
+    predicate's theorem row, and for spanning stars Shearer's star-dual
+    bounds as log2 values.  A size past the int-to-str digit limit prints
+    as ~2^x in both."""
+    rep = bound_report(pred_name, n)
+    payload = {key: getattr(rep, key) for key in _ROW_KEYS}
+    for key in ("lower", "upper"):  # JSON prints ints through str
+        if payload[key] is not None and not _fits_str(payload[key]):
+            payload[key] = _fmt_size(payload[key])
+    lines = [f"predicate {rep.predicate}, n={rep.n}"]
+    if rep.lower is not None:
+        lines.append(f"M >= {_fmt_size(rep.lower)} ({rep.lower_source})")
+    lines += [f"M <= {_fmt_size(rep.upper)} ({rep.upper_source})",
+              f"tight: {'yes' if rep.tight else 'no'}"]
+    if pred_name == "star":
+        lo, hi = shearer_dual_star_bounds(n)  # lo is always an integer
+        payload["dual"] = {"lower_log2": str(lo), "upper_log2": str(hi),
+                           "tight": lo == hi}
+        hi_text = hi if hi.denominator == 1 else float(hi)
+        lines.append(f"dual: 2^{lo} <= D <= 2^{hi_text}"
+                     f" ({'tight' if lo == hi else 'not tight'})")
+    return payload, lines
 
 
-def report_to_dict(rep: BoundReport) -> dict:
-    return {
-        "n": rep.n,
-        "predicate": rep.predicate,
-        "lower": rep.lower,
-        "lower_source": rep.lower_source,
-        "upper": rep.upper,
-        "upper_source": rep.upper_source,
-        "tight": rep.tight,
-    }
-
-
-def table_rows(lo: int, hi: int) -> list[dict]:
-    """The theorem table for lo <= n <= hi: each predicate's row where a
-    construction gives it a lower bound, then its dual row if it has one."""
+def table_output(lo: int, hi: int) -> tuple[list[dict], list[str]]:
+    """What `table` prints for lo <= n <= hi: the rows, as JSON, and the
+    text lines.  Each predicate has a row where a construction gives it a
+    lower bound; spanning stars add Shearer's star-dual row."""
+    if not 3 <= lo <= hi <= 14:
+        raise GraphCodesError("range must satisfy 3 <= a <= b <= 14")
     rows = []
     for n in range(lo, hi + 1):
         for name in PREDICATES:
             rep = bound_report(name, n)
             if rep.lower is not None:
-                rows.append(report_to_dict(rep))
-            dual = dual_report(name, n)
-            if dual is not None:
+                rows.append({key: getattr(rep, key) for key in _ROW_KEYS})
+            if name == "star":
+                d_lo, d_hi = shearer_dual_star_bounds(n)
+                hi_text = d_hi if d_hi.denominator == 1 else float(d_hi)
                 rows.append({
-                    "n": n, "predicate": dual["predicate"],
-                    "lower": 1 << int(dual["lower_log2"]),
+                    "n": n, "predicate": "star-dual", "lower": 1 << int(d_lo),
                     "lower_source": "edge-cover superset family",
                     "upper": None,
-                    "upper_source":
-                        f"projection bound {fmt_log2(dual['upper_log2'])}",
-                    "tight": dual["tight"],
+                    "upper_source": f"projection bound 2^{hi_text}",
+                    "tight": d_lo == d_hi,
                 })
-    return rows
+    header = f"{'n':>3}  {'predicate':<14} {'size':>12} {'bound':>12}  tight"
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        size = _fmt_size(row["lower"]) if row["lower"] is not None else "-"
+        if row["upper"] is not None:
+            bound = _fmt_size(row["upper"])
+        else:
+            bound = row["upper_source"].rsplit(" ", 1)[-1]
+        tick = "tight" if row["tight"] else ""
+        lines.append(f"{row['n']:>3}  {row['predicate']:<14} {size:>12} "
+                     f"{bound:>12}  {tick}")
+    return rows, lines

@@ -4,40 +4,29 @@ Exit codes: 0 success / verification pass, 1 verification fail (or a search
 that proved a claimed size wrong), 2 usage or capability errors.
 
 Each command imports the modules it runs when it runs, so `bound` and
-`table` do not pay for constructions, verification or search.
+`table` do not pay for constructions, verification or search.  Each handler
+returns ``(payload, lines, exit_code)`` and writes nothing to stdout;
+``main`` prints the payload as one JSON line under ``--json`` and the lines
+otherwise.  Only ``--stats`` and ``search --expect`` write to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 from .errors import GraphCodesError
 
 
-def _fits_str(x: int) -> bool:
-    """str(x) stays within the interpreter's int-to-str digit limit."""
-    limit = sys.get_int_max_str_digits()
-    return limit == 0 or x < 10 ** limit
-
-
-def _fmt_size(x: int) -> str:
-    if x >= 1 << 16 and x & (x - 1) == 0:
-        return f"2^{x.bit_length() - 1}"
-    if not _fits_str(x):
-        return f"~2^{math.log2(x):.6f}"
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args):
     from . import constructions
+    from .core import _fmt_size
     from .family import load_family, save_family
     from .linalg import LinearFamily
 
@@ -75,19 +64,16 @@ def _cmd_build(args) -> int:
             save_family(args.out, fam.n, fam.graphs, provenance=provenance)
         size, claimed = len(fam), fam.claimed_size
         detail = f"{len(fam)} graphs"
-    if args.json:
-        print(json.dumps({"family": args.family, "n": fam.n, "size": size,
-                          "claimed_size": claimed, "detail": detail,
-                          "out": args.out}))
-    else:
-        print(f"{args.family}: {detail}; size {_fmt_size(size)}, "
-              f"claimed {_fmt_size(claimed)}")
-        if args.out:
-            print(f"wrote {args.out}")
-    return 0
+    payload = {"family": args.family, "n": fam.n, "size": size,
+               "claimed_size": claimed, "detail": detail, "out": args.out}
+    lines = [f"{args.family}: {detail}; size {_fmt_size(size)}, "
+             f"claimed {_fmt_size(claimed)}"]
+    if args.out:
+        lines.append(f"wrote {args.out}")
+    return payload, lines, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .family import load_family
     from .linalg import LinearFamily
     from .predicates import parse_predicate
@@ -115,66 +101,36 @@ def _cmd_verify(args) -> int:
         else:
             report = verify_family(fam, pred)
     verify_s = time.perf_counter() - start
-    if args.json:
-        payload = {
-            "passed": report.passed,
-            "mode": report.mode,
-            "pairs_checked": report.pairs_checked,
-            "method": report.method,
-            "predicate_calls": report.predicate_calls,
-        }
-        if report.witness:
-            (i, j), diff = report.witness
-            payload["witness"] = {"pair": [i, j], "difference": diff.to_hex()}
-        print(json.dumps(payload))
-    else:
-        verdict = "PASS" if report.passed else "FAIL"
-        print(f"{verdict} [{report.mode}] checked {report.pairs_checked}"
-              f" {'members' if report.mode == 'linear' else 'pairs'}")
-        if report.witness:
-            (i, j), diff = report.witness
-            print(f"witness pair ({i}, {j}); difference edges {diff.edges()}")
+    payload = {
+        "passed": report.passed,
+        "mode": report.mode,
+        "pairs_checked": report.pairs_checked,
+        "method": report.method,
+        "predicate_calls": report.predicate_calls,
+    }
+    lines = [f"{'PASS' if report.passed else 'FAIL'} [{report.mode}] checked "
+             f"{report.pairs_checked} "
+             f"{'members' if report.mode == 'linear' else 'pairs'}"]
+    if report.witness:
+        (i, j), diff = report.witness
+        payload["witness"] = {"pair": [i, j], "difference": diff.to_hex()}
+        lines.append(f"witness pair ({i}, {j}); "
+                     f"difference edges {diff.edges()}")
     if args.stats:
         print(f"stats: mode={report.mode} method={report.method} "
               f"predicate_calls={report.predicate_calls} "
               f"checked={report.pairs_checked} verify_s={verify_s:.4f}",
               file=sys.stderr)
-    return 0 if report.passed else 1
+    return payload, lines, 0 if report.passed else 1
 
 
-def _cmd_bound(args) -> int:
-    from . import bounds
+def _cmd_bound(args):
+    from .bounds import bound_output
 
-    rep = bounds.bound_report(args.pred, args.n)
-    dual = bounds.dual_report(args.pred, args.n)
-    if args.json:
-        payload = bounds.report_to_dict(rep)
-        for key in ("lower", "upper"):  # JSON prints ints through str
-            if payload[key] is not None and not _fits_str(payload[key]):
-                payload[key] = _fmt_size(payload[key])
-        if dual is not None:
-            payload["dual"] = {
-                "lower_log2": str(dual["lower_log2"]),
-                "upper_log2": str(dual["upper_log2"]),
-                "tight": dual["tight"],
-            }
-        print(json.dumps(payload))
-        return 0
-    print(f"predicate {rep.predicate}, n={rep.n}")
-    if rep.lower is not None:
-        print(f"M >= {_fmt_size(rep.lower)} ({rep.lower_source})")
-    print(f"M <= {_fmt_size(rep.upper)} ({rep.upper_source})")
-    print(f"tight: {'yes' if rep.tight else 'no'}")
-    if dual is not None:
-        print(
-            f"dual: {bounds.fmt_log2(dual['lower_log2'])} <= D <= "
-            f"{bounds.fmt_log2(dual['upper_log2'])}"
-            f" ({'tight' if dual['tight'] else 'not tight'})"
-        )
-    return 0
+    return *bound_output(args.pred, args.n), 0
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     from . import search
     from .family import save_family
     from .predicates import parse_predicate
@@ -190,22 +146,20 @@ def _cmd_search(args) -> int:
     if args.out:
         save_family(args.out, result.certificate.n, result.certificate.graphs,
                     provenance=dict(result.certificate.provenance))
-    if args.json:
-        print(json.dumps({
-            "optimum": result.optimum, "status": result.status,
-            "explored": result.explored, "rank": result.rank,
-            "out": args.out, "candidates": result.candidates,
-            "compat_edges": result.compat_edges,
-            "size_floor": result.size_floor, "size_cap": result.size_cap,
-        }))
-    else:
-        line = (f"optimum {result.optimum} [{result.status}], "
-                f"explored {result.explored} nodes")
-        if result.rank is not None:
-            line += f", rank {result.rank}"
-        print(line)
-        if args.out:
-            print(f"certificate written to {args.out}")
+    payload = {
+        "optimum": result.optimum, "status": result.status,
+        "explored": result.explored, "rank": result.rank,
+        "out": args.out, "candidates": result.candidates,
+        "compat_edges": result.compat_edges,
+        "size_floor": result.size_floor, "size_cap": result.size_cap,
+    }
+    line = (f"optimum {result.optimum} [{result.status}], "
+            f"explored {result.explored} nodes")
+    if result.rank is not None:
+        line += f", rank {result.rank}"
+    lines = [line]
+    if args.out:
+        lines.append(f"certificate written to {args.out}")
     if args.stats:
         fields = [f"mode={args.mode}", f"status={result.status}",
                   f"explored={result.explored}"]
@@ -219,39 +173,22 @@ def _cmd_search(args) -> int:
             and result.optimum < args.expect:
         print(f"search proved the optimum is {result.optimum} < {args.expect}",
               file=sys.stderr)
-        return 1
-    return 0
+        return payload, lines, 1
+    return payload, lines, 0
 
 
-def _cmd_table(args) -> int:
-    from . import bounds
+def _cmd_table(args):
+    from .bounds import table_output
 
     try:
         lo_text, hi_text = args.range.split("..")
         lo, hi = int(lo_text), int(hi_text)
     except ValueError as exc:
         raise GraphCodesError(f"bad range {args.range!r}; expected a..b") from exc
-    if not 3 <= lo <= hi <= 14:
-        raise GraphCodesError("range must satisfy 3 <= a <= b <= 14")
-    rows = bounds.table_rows(lo, hi)
-    if args.json:
-        print(json.dumps(rows, default=str))
-        return 0
-    header = f"{'n':>3}  {'predicate':<14} {'size':>12} {'bound':>12}  tight"
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        size = _fmt_size(row["lower"]) if row["lower"] is not None else "-"
-        if row["upper"] is not None:
-            bound = _fmt_size(row["upper"])
-        else:
-            bound = row["upper_source"].rsplit(" ", 1)[-1]
-        tick = "tight" if row["tight"] else ""
-        print(f"{row['n']:>3}  {row['predicate']:<14} {size:>12} {bound:>12}  {tick}")
-    return 0
+    return *table_output(lo, hi), 0
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args):
     from .factorization import starter_factorization, verify_p1f
     from .family import save_family
 
@@ -263,15 +200,13 @@ def _cmd_factorize(args) -> int:
             provenance={"construction": "starter-factorization", "m": f.m,
                         "perfect": perfect},
         )
-    if args.json:
-        print(json.dumps({"m": f.m, "matchings": len(f.matchings),
-                          "perfect": perfect, "out": args.out}))
-    else:
-        print(f"K_{f.m}: {len(f.matchings)} matchings, "
-              f"{'perfect' if perfect else 'not perfect'}")
-        if args.out:
-            print(f"wrote {args.out}")
-    return 0
+    payload = {"m": f.m, "matchings": len(f.matchings), "perfect": perfect,
+               "out": args.out}
+    lines = [f"K_{f.m}: {len(f.matchings)} matchings, "
+             f"{'perfect' if perfect else 'not perfect'}"]
+    if args.out:
+        lines.append(f"wrote {args.out}")
+    return payload, lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +307,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        payload, lines, code = _COMMANDS[args.command](args)
+        if args.json:
+            print(json.dumps(payload))
+        else:
+            print(*lines, sep="\n")
     except (GraphCodesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

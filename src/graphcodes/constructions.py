@@ -21,6 +21,7 @@ from .core import (
     edge_slots,
     empty_graph,
     graph_from_edges,
+    incidence_masks,
     two_coloring,
     vertex_limit,
 )
@@ -34,17 +35,22 @@ from .linalg import LinearFamily, gf2_ordered_basis, ordered_span
 # split-clique families (connectivity and 2-connectivity)
 
 
-def _split_clique_mask(n: int, side: int) -> int:
-    """Edges of K_S union K_complement for the side bitmask (bit v-1 = v in S)."""
+def _cut_mask(n: int, side: int) -> int:
+    """Edges between S and its complement for the side bitmask (bit v-1 =
+    v in S): the XOR of the incidence rows of S, in which each edge inside S
+    cancels."""
+    inc = incidence_masks(n)
     bits = 0
-    idx = 0
-    for j in range(1, n):
-        sj = side >> j & 1
-        for i in range(j):
-            if (side >> i & 1) == sj:
-                bits |= 1 << idx
-            idx += 1
+    while side:
+        low = side & -side
+        bits ^= inc[low.bit_length() - 1]
+        side ^= low
     return bits
+
+
+def _split_clique_mask(n: int, side: int) -> int:
+    """Edges of K_S union K_complement: the complement of the cut of S."""
+    return ((1 << edge_slots(n)) - 1) ^ _cut_mask(n, side)
 
 
 def _sides_with_vertex_one(n: int):
@@ -158,8 +164,7 @@ def hamming_bipartite_family(k: int) -> LinearFamily:
     all-ones word is a codeword, the images of a codeword basis span a
     family of rank n-k-1 whose 2^(n-k-1) - 1 nonzero members are complete
     bipartite graphs with both classes of size >= 3, hence 3-connected.
-    The cut graph of a word (its 1-positions against its 0-positions) is
-    the complement of the split-clique graph on that side.
+    The cut graph of a word joins its 1-positions to its 0-positions.
     """
     # n = 2^k - 1 exceeds the limit exactly when 2^k exceeds limit + 1
     if k >= 2 and (vertex_limit() + 1) >> k == 0:
@@ -168,7 +173,7 @@ def hamming_bipartite_family(k: int) -> LinearFamily:
         )
     n, basis = hamming_code(k)
     return LinearFamily(n, tuple(
-        LabeledGraph(n, _split_clique_mask(n, w)).complement() for w in basis))
+        LabeledGraph(n, _cut_mask(n, w)) for w in basis))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ hashable, like every value class of the package, which derive from
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from .errors import CapabilityError, DomainError
@@ -74,6 +75,24 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _fits_str(x: int) -> bool:
+    """str(x) stays within the interpreter's int-to-str digit limit.  An x
+    below 8^limit fits without building 10^limit, which takes about 30 us
+    at the default limit of 4,300 digits."""
+    limit = sys.get_int_max_str_digits()
+    return limit == 0 or x.bit_length() <= 3 * limit or x < 10 ** limit
+
+
+def _fmt_size(x: int) -> str:
+    """A family size as printed: 2^k for a power of two from 2^16 on,
+    ~2^x past the int-to-str limit, else the decimal digits."""
+    if x >= 1 << 16 and x & (x - 1) == 0:
+        return f"2^{x.bit_length() - 1}"
+    if not _fits_str(x):
+        return f"~2^{math.log2(x):.6f}"
+    return str(x)
 
 
 @lru_cache(maxsize=None)

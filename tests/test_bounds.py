@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -43,6 +44,28 @@ def test_turan_number_of_an_edge_is_zero(n):
     assert B.subgraph_upper_bound(n, 2) == edge_slots(n)
     with pytest.raises(DomainError, match="need r >= 2"):
         B.turan_number(n, 1)
+
+
+def _turan_with_every_part(n, r):
+    # the balanced (r-1)-partition with all r - 1 parts, empty ones included
+    q, rem = divmod(n, r - 1)
+    sizes = [q + 1] * rem + [q] * (r - 1 - rem)
+    return comb(n, 2) - sum(comb(s, 2) for s in sizes)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_turan_number_ignores_empty_parts(n):
+    for r in range(2, 16):
+        assert B.turan_number(n, r) == _turan_with_every_part(n, r), r
+
+
+def test_turan_number_of_a_huge_clique_is_immediate():
+    # r - 1 parts, of which at most n are nonempty; r = 10^7 took about 1 s
+    # when every part was listed, and r = 10^12 would have listed 10^12
+    for r in (10**7, 10**12):
+        start = time.perf_counter()
+        assert B.turan_number(5, r) == 10
+        assert time.perf_counter() - start < 0.1, r
 
 
 @pytest.mark.parametrize("n", range(1, 31))

@@ -36,6 +36,27 @@ def test_split_clique_sizes(n):
     assert len(C.split_clique_family(n)) == 1 << (n - 1)
 
 
+def _split_clique_by_slots(n, side):
+    # every slot in colex order, kept when both ends lie on the same side
+    bits = 0
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (side >> i & 1) == (side >> j & 1):
+                bits |= 1 << idx
+            idx += 1
+    return bits
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_split_clique_and_cut_masks_match_the_slot_walk(n):
+    full = (1 << edge_slots(n)) - 1
+    for side in range(1 << n):
+        reference = _split_clique_by_slots(n, side)
+        assert C._split_clique_mask(n, side) == reference, side
+        assert C._cut_mask(n, side) == full ^ reference, side
+
+
 def test_split_clique_diffs_are_complete_bipartite():
     fam = C.split_clique_family(5)
     for i in range(len(fam)):
@@ -324,9 +345,10 @@ def test_builders_check_the_vertex_limit_before_building(monkeypatch, build,
     def unreachable(*args):
         raise AssertionError("a mask was built past the vertex limit")
 
-    for module, name in ((C, "_split_clique_mask"), (C, "edge_slots"),
-                         (C, "edge_index"), (C, "hamming_code"),
-                         (C, "_is_prime"), (C, "starter_factorization"),
+    for module, name in ((C, "_split_clique_mask"), (C, "_cut_mask"),
+                         (C, "edge_slots"), (C, "edge_index"),
+                         (C, "hamming_code"), (C, "_is_prime"),
+                         (C, "starter_factorization"),
                          (C, "star_cover_edges"), (core, "edge_index"),
                          (F, "graph_from_edges")):
         monkeypatch.setattr(module, name, unreachable)

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,7 @@ from graphcodes import (
     save_family,
     load_family,
 )
-from graphcodes.core import adjacency_masks, two_coloring
+from graphcodes.core import _fits_str, adjacency_masks, two_coloring
 from graphcodes.family import family_to_json
 
 
@@ -77,6 +78,25 @@ def test_adjacency_masks_match_slot_reference(n):
             assert not adj[v] >> v & 1
             for u in range(n):
                 assert adj[v] >> u & 1 == adj[u] >> v & 1
+
+
+@pytest.mark.parametrize("limit", (640, 4300))
+def test_fits_str_agrees_with_str(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for x in (1, 8**limit - 1, 8**limit, 2 * 8**limit, 10**limit - 1,
+                  10**limit, 10**limit + 1):
+            try:
+                str(x)
+                fits = True
+            except ValueError:
+                fits = False
+            assert _fits_str(x) == fits, x.bit_length()
+        sys.set_int_max_str_digits(0)
+        assert _fits_str(10**limit)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_sym_diff_self_inverse_and_identity():
