@@ -305,6 +305,75 @@ def test_sub_pattern_predicate(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("pred", ("hamcycle", "connected", "oddcycle",
+                                  "kconn:4"))
+@pytest.mark.parametrize("extra", ((), ("--json",)), ids=("text", "json"))
+def test_linear_flag_reads_a_plain_file_as_a_basis(tmp_path, capsys, pred,
+                                                   extra):
+    # the cover, the table, the kernel walk and a failing kernel walk
+    basis = tmp_path / "hc8.json"
+    assert run("build", "--family", "hamcycle", "--n", "8",
+               "--out", str(basis)) == 0
+    loaded = load_family(basis)
+    plain = tmp_path / "plain.json"
+    save_family(plain, loaded.n, loaded.graphs)
+    capsys.readouterr()
+    code = run("verify", "--pred", pred, str(basis), *extra)
+    expected = capsys.readouterr()
+    assert run("verify", "--pred", pred, "--linear", str(plain),
+               *extra) == code
+    assert capsys.readouterr() == expected
+    assert "linear" in expected.out
+
+
+def _one_error_line(capsys, *argv):
+    """Run the CLI, expect exit 2, and return its single stderr line."""
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("doc, message", (
+    ([1, 2], "family file must hold a JSON object"),
+    ({"version": 1, "n": 3, "edge_order": "lex", "graphs": ["00"]},
+     "unsupported edge order 'lex'"),
+), ids=("json-list", "edge-order"))
+def test_malformed_family_documents(tmp_path, capsys, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert message in _one_error_line(capsys, "verify", "--pred",
+                                      "connected", str(bad))
+
+
+def test_kconn_needs_an_integer_k(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    save_family(fam, 4, [empty_graph(4), complete_graph(4)])
+    assert "bad k in 'kconn:x'" in _one_error_line(
+        capsys, "verify", "--pred", "kconn:x", str(fam))
+
+
+@pytest.mark.parametrize("prefix", ("sub", "indsub"))
+def test_pattern_file_must_hold_one_graph(tmp_path, capsys, prefix):
+    pat = tmp_path / "two.json"
+    save_family(pat, 3, [empty_graph(3), complete_graph(3)])
+    fam = tmp_path / "fam.json"
+    save_family(fam, 4, [empty_graph(4), complete_graph(4)])
+    err = _one_error_line(capsys, "verify", "--pred", f"{prefix}:{pat}",
+                          str(fam))
+    assert "exactly one graph" in err
+
+
+def test_host_file_must_hold_one_graph(tmp_path, capsys):
+    host = tmp_path / "two.json"
+    save_family(host, 5, [empty_graph(5), complete_graph(5)])
+    err = _one_error_line(capsys, "build", "--family", "dual-subgraph",
+                          "--n", "5", "--host", str(host))
+    assert "exactly one graph" in err
+
+
 def _family_doc(**changes):
     doc = {"version": 1, "n": 3, "edge_order": "colex-1based",
            "graphs": ["00", "07"]}

@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -155,6 +156,33 @@ def test_ham_path_family_truncation():
 @pytest.mark.parametrize("n,size", [(2, 2), (3, 4), (4, 4), (5, 6), (6, 6), (9, 10)])
 def test_star_family_sizes(n, size):
     assert len(C.star_family(n)) == size
+
+
+# sha256 of repr(star_family(n).masks()), recorded from the construction
+# with one branch per parity of n
+STAR_FAMILY_MASKS = {
+    2: "923682bea6d517dc178d480c88e129e485ed902f4fa024866666658cd4ea6836",
+    3: "afe1c8dfb91145ead5f1d5ccfa4942bbf3d356c7a0ed88489fba20b8f007e7f1",
+    4: "dfb397245b5ad1b509e14294e63de383d4848fb56044355d959a30d19070c9a2",
+    5: "93e7b883a430ca0ff20b4627bd88ba482d60c1b9ee77951919a17e7eb534a6cb",
+    6: "27ba3bbddb8179374258cb87cfde0a0ccbd10d85bb7edc4a07fc73e9b30059e0",
+    7: "b9732d02565c93d8bf7acd8df24e068ba9789dcba6eca4ccde3997ff31b48665",
+    8: "0bf1502304a02556d126ecb341800e05b37c74a8ea56b18df6a17cc9e5f75f0b",
+    9: "5b305dfd506304007b0b9d3a30c7a64c40c8415ac189eb44599bbcc1f650b7b5",
+    10: "b6e1cbabf1ebda6f9df2e19bb8492a92e6a617160c25a510043801d1990b3d50",
+    11: "aa09c3ae0a3189d9a7f92342215296c66a8e39795288bd1f8810341c9f1418d2",
+    12: "665e4fd9d6134b6ac257bd8596be660b8d0d65c44f4b5e63bab06f0577668906",
+    13: "ce0c8849688aa596b0035841f9779e585589b7f8339737310492347b5386198b",
+    14: "cd572d66d662d6343e9193d34618ca94f642bbcbc6f3401988a061f3d28b5279",
+    15: "8e1af5592a74bbc1db15dc28c98227bffe3bdfa663d0de927c5a0d5d02f37d0d",
+    16: "9a2facfa135627f286679eca83dabf30101f4efeb29e22c18deba7fcfaeeb20a",
+}
+
+
+@pytest.mark.parametrize("n", sorted(STAR_FAMILY_MASKS))
+def test_star_family_masks_are_pinned(n):
+    masks = repr(C.star_family(n).masks()).encode()
+    assert hashlib.sha256(masks).hexdigest() == STAR_FAMILY_MASKS[n]
 
 
 @pytest.mark.parametrize("n", [5, 6])

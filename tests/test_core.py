@@ -21,7 +21,8 @@ from graphcodes import (
     save_family,
     load_family,
 )
-from graphcodes.core import _fits_str, adjacency_masks, two_coloring
+from graphcodes.core import (DEFAULT_VERTEX_LIMIT, _fits_str, adjacency_masks,
+                             two_coloring)
 from graphcodes.family import family_to_json
 
 
@@ -37,7 +38,7 @@ def test_edge_index_domain(bad):
         edge_index(*bad)
 
 
-@pytest.mark.parametrize("n", range(2, 17))
+@pytest.mark.parametrize("n", range(2, DEFAULT_VERTEX_LIMIT + 1))
 def test_edge_index_round_trip(n):
     seen = set()
     for j in range(2, n + 1):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from graphcodes import CapabilityError, LabeledGraph, empty_graph, graph_from_edges
+from graphcodes import (CapabilityError, DomainError, LabeledGraph,
+                        empty_graph, graph_from_edges)
 from hypothesis import given, settings, strategies as st
 
 from graphcodes.linalg import (
@@ -62,6 +63,12 @@ def test_double_cover_examples():
     assert double_cover_check(codd_family_7().basis)
     single_edges = [graph_from_edges(3, [e]) for e in [(1, 2), (1, 3), (2, 3)]]
     assert not double_cover_check(single_edges)
+
+
+@pytest.mark.parametrize("check", (rank, double_cover_check))
+def test_generators_must_share_a_vertex_count(check):
+    with pytest.raises(DomainError, match="share a vertex count"):
+        check([empty_graph(3), empty_graph(4)])
 
 
 def test_double_cover_implies_zero_total():

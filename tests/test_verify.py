@@ -6,6 +6,7 @@ from graphcodes import (
     CapabilityError,
     DomainError,
     GraphFamily,
+    ImplicitFamily,
     LabeledGraph,
     complete_bipartite_graph,
     complete_graph,
@@ -130,6 +131,8 @@ def test_cross_difference_examples():
         cross_difference_distinct(a5, a5)
     with pytest.raises(CapabilityError):
         cross_difference_distinct(a5, b5, budget=100)
+    with pytest.raises(DomainError, match="different vertex counts"):
+        cross_difference_distinct(a5, C.dual_isolated_family(4))
 
 
 def test_sampled_dual_check():
@@ -141,6 +144,15 @@ def test_sampled_dual_check():
     good = C.split_clique_family(5)
     rep = verify_dual_sampled(good, P.CONNECTED, pairs=200, seed=1)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("fam", (
+    GraphFamily(4, (empty_graph(4),)),
+    ImplicitFamily(4, 0, 0),
+), ids=("one-graph", "one-member-implicit"))
+def test_sampled_check_needs_two_graphs(fam):
+    with pytest.raises(DomainError, match="need at least 2 graphs"):
+        verify_dual_sampled(fam, P.STAR)
 
 
 def test_sampled_check_deterministic():
