@@ -22,10 +22,6 @@ from itertools import combinations, permutations
 from .core import LabeledGraph, edge_slots
 from .errors import DomainError
 
-# masks are decided in blocks of 2^BLOCK_WIDTH (8 KiB per column), so that
-# neither a search at n = 8 nor a span of rank 26 holds a whole table
-BLOCK_WIDTH = 16
-
 
 @lru_cache(maxsize=None)
 def slot_columns(width: int) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ from .errors import GraphCodesError
 def _cmd_build(args):
     from . import constructions
     from .core import _fmt_size
-    from .family import load_family, save_family
+    from .family import load_graph, save_family
     from .linalg import LinearFamily
 
     if args.family not in constructions.REGISTRY:
@@ -41,10 +41,7 @@ def _cmd_build(args):
         if value is None:
             raise GraphCodesError(f"family {args.family!r} needs --{name}")
         if name == "host":
-            loaded = load_family(value)
-            if len(loaded.graphs) != 1:
-                raise GraphCodesError("host file must hold exactly one graph")
-            value = loaded.graphs[0]
+            value = load_graph(value)
             prov_params["host"] = value.to_hex()
         else:
             prov_params[name] = value

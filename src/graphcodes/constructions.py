@@ -248,32 +248,23 @@ def star_family(n: int) -> GraphFamily:
             2, (empty_graph(2), complete_graph(2)),
             provenance={"construction": "star", "n": 2}, claimed_size=2,
         )
-    if n % 2:
-        m = n + 1
-        mats = starter_factorization(m).matchings
-        members = m
-        edge_vertices = n
-    else:
-        m = n
-        mats = starter_factorization(m).matchings
-        members = n
-        edge_vertices = n - 1
-    bits = [0] * members
+    # m members and K_m's matchings: m = n + 1 for odd n; for even n, m = n
+    # and each edge {i, n} is decided by M_i alone
+    m = n + n % 2
+    mats = starter_factorization(m).matchings
+    bits = [0] * m
     for j in range(2, n + 1):
         for i in range(1, j):
-            if j <= edge_vertices:
-                union = mats[i - 1] ^ mats[j - 1]
-            else:
-                union = mats[i - 1]
+            union = mats[i - 1] ^ mats[j - 1] if j < m else mats[i - 1]
             # unions of matchings are bipartite, so the coloring exists
             a_mask = two_coloring(union.adjacency())
             slot = edge_index(i, j, n)
-            for k in range(members):
+            for k in range(m):
                 if a_mask >> k & 1:
                     bits[k] |= 1 << slot
     return GraphFamily(
         n, tuple(LabeledGraph(n, b) for b in bits),
-        provenance={"construction": "star", "n": n}, claimed_size=members,
+        provenance={"construction": "star", "n": n}, claimed_size=m,
     )
 
 

@@ -16,6 +16,9 @@ from functools import lru_cache
 from .errors import CapabilityError, DomainError
 
 DEFAULT_VERTEX_LIMIT = 64
+# masks are decided in blocks of 2^BLOCK_WIDTH (8 KiB per column), so that
+# neither a search at n = 8 nor a span of rank 26 holds a whole table
+BLOCK_WIDTH = 16
 
 _vertex_limit = DEFAULT_VERTEX_LIMIT
 
@@ -57,11 +60,9 @@ def edge_from_index(idx: int, n: int) -> tuple[int, int]:
     """Inverse of edge_index: the pair (i, j) stored at slot idx."""
     if not 0 <= idx < edge_slots(n):
         raise DomainError(f"slot {idx} out of range for n={n}")
+    # idx = t(t-1)/2 + r with 0 <= r < t puts 1 + 8 idx in
+    # [(2t-1)^2, (2t+1)^2), so the integer square root gives t exactly
     t = (1 + math.isqrt(1 + 8 * idx)) // 2
-    while t * (t - 1) // 2 > idx:
-        t -= 1
-    while (t + 1) * t // 2 <= idx:
-        t += 1
     return idx - t * (t - 1) // 2 + 1, t + 1
 
 

@@ -195,3 +195,13 @@ def load_family(path) -> LoadedFamily:
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{path}: bad graph entry ({exc})") from exc
     return LoadedFamily(n=n, graphs=graphs, role=role, provenance=provenance)
+
+
+def load_graph(path) -> LabeledGraph:
+    """The one graph of a family file, such as a pattern or host graph; a
+    file holding any other number of graphs raises DomainError."""
+    graphs = load_family(path).graphs
+    if len(graphs) != 1:
+        raise DomainError(
+            f"{path}: must hold exactly one graph, not {len(graphs)}")
+    return graphs[0]

@@ -132,16 +132,17 @@ class LinearFamily(Frozen):
         )
 
 
+def _same_n(generators) -> list[LabeledGraph]:
+    """The generators as a list; mixed vertex counts raise DomainError."""
+    gens = list(generators)
+    if any(g.n != gens[0].n for g in gens):
+        raise DomainError("generators must share a vertex count")
+    return gens
+
+
 def rank(generators) -> int:
     """Dimension of the span of a list of generator graphs."""
-    gens = list(generators)
-    if not gens:
-        return 0
-    n = gens[0].n
-    for g in gens:
-        if g.n != n:
-            raise DomainError("generators must share a vertex count")
-    return gf2_rank(g.bits for g in gens)
+    return gf2_rank(g.bits for g in _same_n(generators))
 
 
 def enumerate_span(fam: LinearFamily) -> GraphFamily:
@@ -150,14 +151,10 @@ def enumerate_span(fam: LinearFamily) -> GraphFamily:
 
 def double_cover_check(generators) -> bool:
     """True iff every edge slot of K_n is set in exactly two generators."""
-    gens = list(generators)
+    gens = _same_n(generators)
     if not gens:
         return False
-    n = gens[0].n
-    for g in gens:
-        if g.n != n:
-            raise DomainError("generators must share a vertex count")
-    counts = [0] * edge_slots(n)
+    counts = [0] * edge_slots(gens[0].n)
     for g in gens:
         m = g.bits
         while m:

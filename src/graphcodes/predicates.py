@@ -30,10 +30,6 @@ PATTERN_CAP = 8
 _hamiltonian_cap = DEFAULT_HAMILTONIAN_CAP
 
 
-def hamiltonian_cap() -> int:
-    return _hamiltonian_cap
-
-
 def set_hamiltonian_cap(limit: int) -> None:
     """Raise or lower the vertex cap for Hamiltonicity backtracking."""
     global _hamiltonian_cap
@@ -581,11 +577,12 @@ NAMED = {p.name: p for p in (CONNECTED, TWO_CONNECTED, THREE_CONNECTED,
                              HAMPATH, HAMCYCLE, STAR, K3, ODDCYCLE)}
 
 
-def parse_predicate(text: str, pattern_loader=None) -> Predicate:
+def parse_predicate(text: str) -> Predicate:
     """Resolve a CLI predicate name.
 
     Accepted: connected, 2conn, 3conn, kconn:<k>, hampath, hamcycle, star,
-    k3, oddcycle, sub:<pattern-file>, indsub:<pattern-file>.
+    k3, oddcycle, sub:<pattern-file>, indsub:<pattern-file>; a pattern file
+    holds exactly one graph (``family.load_graph``).
     """
     if text in NAMED:
         return NAMED[text]
@@ -596,20 +593,11 @@ def parse_predicate(text: str, pattern_loader=None) -> Predicate:
             raise DomainError(f"bad k in {text!r}") from exc
         return k_connected(k)
     if text.startswith(("sub:", "indsub:")):
+        from .family import load_graph
+
         prefix, path = text.split(":", 1)
-        if pattern_loader is None:
-            pattern_loader = _default_pattern_loader
-        pattern = pattern_loader(path)
+        pattern = load_graph(path)
         if prefix == "sub":
             return contains(pattern, name=text)
         return contains_induced_pred(pattern, name=text)
     raise DomainError(f"unknown predicate {text!r}")
-
-
-def _default_pattern_loader(path: str) -> LabeledGraph:
-    from .family import load_family
-
-    loaded = load_family(path)
-    if len(loaded.graphs) != 1:
-        raise DomainError(f"pattern file {path} must hold exactly one graph")
-    return loaded.graphs[0]

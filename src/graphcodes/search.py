@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from . import bitslice
+from . import bitslice, core
 from .core import Frozen, LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily
@@ -223,15 +223,39 @@ def _theorem_seed(pred: Predicate, n: int) -> tuple[int | None, int | None]:
     return rep.lower, rep.upper if rep.predicate == pred.name else None
 
 
+def _check_n(n: int, limit: int, search: str) -> None:
+    """Refuse n past the search's limit, then n below 2."""
+    if n > limit:
+        raise CapabilityError(f"{search} search is limited to n <= {limit}")
+    if n < 2:
+        raise DomainError("need n >= 2")
+
+
+def _result(n: int, pred: Predicate, mode: str, masks: list[int],
+            budget: _Budget, status: str, **counters) -> SearchResult:
+    """The search's result, its certificate the family of ``masks``."""
+    certificate = GraphFamily(
+        n,
+        tuple(LabeledGraph(n, m) for m in masks),
+        provenance={"construction": "search", "mode": mode,
+                     "predicate": pred.name, "n": n},
+    )
+    return SearchResult(optimum=len(masks), certificate=certificate,
+                        explored=budget.nodes, status=status, **counters)
+
+
 def _compatibility_search(
-    n: int, pred: Predicate, expect: bool, budget_nodes, time_ms, mode: str
+    n: int, pred: Predicate, mode: str, budget_nodes, time_ms
 ) -> SearchResult:
+    good = mode == "good"
+    _check_n(n, GOOD_EXACT_LIMIT if good else DUAL_EXACT_LIMIT,
+             f"exact {mode}-family")
     t0 = time.perf_counter()
-    table = _candidates(n, pred, expect)
+    table = _candidates(n, pred, good)
     t1 = time.perf_counter()
     rows = _translated_rows(n, table)
     t2 = time.perf_counter()
-    lower, upper = _theorem_seed(pred, n) if mode == "good" else (None, None)
+    lower, upper = _theorem_seed(pred, n) if good else (None, None)
     # in clique sizes, which leave out the pinned empty graph: beating
     # lower - 2 means reaching a family as large as the construction
     floor = max(lower - 2, 0) if lower is not None else 0
@@ -245,19 +269,9 @@ def _compatibility_search(
             f"internal error: the theorem row of {pred.name} at n={n} claims "
             f"a family of {lower}, but the exact search found none that large"
         )
-    status = "timeout" if exhausted else "exact"
-    masks = sorted([0] + clique)
-    certificate = GraphFamily(
-        n,
-        tuple(LabeledGraph(n, m) for m in masks),
-        provenance={"construction": "search", "mode": mode,
-                     "predicate": pred.name, "n": n},
-    )
-    return SearchResult(
-        optimum=len(masks),
-        certificate=certificate,
-        explored=budget.nodes,
-        status=status,
+    return _result(
+        n, pred, mode, sorted([0] + clique), budget,
+        "timeout" if exhausted else "exact",
         candidates=table.bit_count(),
         compat_edges=sum(r.bit_count() for r in rows) // 2,
         size_floor=lower,
@@ -286,13 +300,7 @@ def max_good_family(
     searched only at or above the construction's size; its incumbent may
     then be the empty graph alone, and ``build`` gives the construction's
     family."""
-    if n > GOOD_EXACT_LIMIT:
-        raise CapabilityError(
-            f"exact good-family search is limited to n <= {GOOD_EXACT_LIMIT}"
-        )
-    if n < 2:
-        raise DomainError("need n >= 2")
-    return _compatibility_search(n, pred, True, budget_nodes, time_ms, "good")
+    return _compatibility_search(n, pred, "good", budget_nodes, time_ms)
 
 
 def max_dual_family(
@@ -304,13 +312,7 @@ def max_dual_family(
     """Exact largest family with no pairwise difference satisfying the
     predicate: a maximum independent set of the compatibility graph, found
     as a clique among the predicate-violating graphs."""
-    if n > DUAL_EXACT_LIMIT:
-        raise CapabilityError(
-            f"exact dual-family search is limited to n <= {DUAL_EXACT_LIMIT}"
-        )
-    if n < 2:
-        raise DomainError("need n >= 2")
-    return _compatibility_search(n, pred, False, budget_nodes, time_ms, "dual")
+    return _compatibility_search(n, pred, "dual", budget_nodes, time_ms)
 
 
 def linear_rank_bound(pred: Predicate, n: int) -> int | None:
@@ -330,7 +332,6 @@ def linear_rank_bound(pred: Predicate, n: int) -> int | None:
 def max_linear_family(
     n: int,
     pred: Predicate,
-    max_rank: int | None = None,
     budget_nodes: int | None = None,
     time_ms: int | None = None,
 ) -> SearchResult:
@@ -340,7 +341,7 @@ def max_linear_family(
     A node is a subspace V with its candidate set C_V = {x : x ^ v satisfies
     the predicate for every v in V}, so V + g is admissible exactly when g
     lies in C_V, and C_{V+g} = C_V & (C_V translated by g).  C_V is kept in
-    blocks of 2^``bitslice.BLOCK_WIDTH`` masks, each built on first read:
+    blocks of 2^``core.BLOCK_WIDTH`` masks, each built on first read:
     at the root from the truth table, without the empty graph (so no g lies
     inside V), below it from two blocks of the parent.  The next generator
     is the least candidate above the last one that is clear at every pivot
@@ -354,20 +355,15 @@ def max_linear_family(
     ``explored`` counts the blocks built, one budget node each at every n,
     so a budgeted search stops at other incumbents than the mask-probing
     search it replaced."""
-    if n > LINEAR_LIMIT:
-        raise CapabilityError(f"linear search is limited to n <= {LINEAR_LIMIT}")
-    if n < 2:
-        raise DomainError("need n >= 2")
+    _check_n(n, LINEAR_LIMIT, "linear")
     pred._domain(n)
     slots = edge_slots(n)
     cap = linear_rank_bound(pred, n)
-    if max_rank is not None:
-        cap = max_rank if cap is None else min(cap, max_rank)
     if cap is None:
         cap = slots
     budget = _Budget(budget_nodes, time_ms)
     began = time.perf_counter()
-    width = min(slots, bitslice.BLOCK_WIDTH)
+    width = min(slots, core.BLOCK_WIDTH)
     cols = bitslice.slot_columns(width)
     classify = 0.0
 
@@ -426,18 +422,8 @@ def max_linear_family(
     except _CapReached:
         pass
     rows = gf2_ordered_basis(best)
-    masks = ordered_span(rows)
-    certificate = GraphFamily(
-        n,
-        tuple(LabeledGraph(n, m) for m in masks),
-        provenance={"construction": "search", "mode": "linear",
-                     "predicate": pred.name, "n": n},
-    )
-    return SearchResult(
-        optimum=len(masks),
-        certificate=certificate,
-        explored=budget.nodes,
-        status=status,
+    return _result(
+        n, pred, "linear", ordered_span(rows), budget, status,
         rank=len(rows),
         phase_seconds={"classify": classify,
                        "basis": time.perf_counter() - began - classify},

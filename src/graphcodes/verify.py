@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 
+from . import core
 from .core import Frozen, LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily, ImplicitFamily
@@ -148,37 +149,35 @@ def _first_failure(n: int, rows, pred: Predicate,
     ``rows`` on which the predicate is not ``expect``, or None; predicate
     calls; method), skipping member 0, the empty graph.
 
-    The span is walked in blocks of 2^width members, member b << width | k
-    being the XOR of the high rows' span element b and the low rows'
-    element k.  Each block keeps a bitset of its undecided members; the
-    walk decides the lowest one and clears every member that decision
-    covers, one predicate call each.  The method and width are chosen once:
+    The span is walked in blocks of 2^width members, width = min(rank,
+    ``core.BLOCK_WIDTH``), member b << width | k being the XOR of the high
+    rows' span element b and the low rows' element k.  Each block keeps a
+    bitset of its undecided members; the walk decides the lowest one and
+    clears every member that decision covers.  The method is chosen once:
 
     - where the predicate's truth-table formula costs at most one kernel
       call per member (its estimated big-int operations at most 2^width *
-      C(n, 2), width = min(rank, ``bitslice.BLOCK_WIDTH``)), one
-      ``Predicate.table`` decides the whole block (method "table"), so the
-      calls count the tables;
-    - on a good check (``expect`` true), a monotone predicate (one whose
-      kind has a witness) gets a witness W for the member, which covers
-      every member of the block that contains W, the AND of W's slot
+      C(n, 2)), one ``Predicate.table`` decides the whole block (method
+      "table"), so the calls count the tables;
+    - else, on a good check (``expect`` true), a monotone predicate (one
+      whose kind has a witness) gets a witness W for the member, which
+      covers every member of the block that contains W, the AND of W's slot
       columns (method "cover"), so the calls count the witnesses, at most i;
-    - otherwise a kernel call decides the member alone (method "linear"),
-      in blocks of rank // 2 rows, so the calls are i, or 2^rank - 1 on a
-      pass."""
+    - otherwise one kernel call per member decides the block's undecided
+      members in order, up to the first failure (method "linear"), so the
+      calls are i, or 2^rank - 1 on a pass."""
     kind = pred._domain(n)
     rank, slots, ops = len(rows), edge_slots(n), kind.ops(pred, n)
-    method, width = "linear", rank // 2
-    # bitslice is imported only once the table may pay
-    if rank and ops <= (1 << rank) * slots:
-        from .bitslice import BLOCK_WIDTH
-
-        if ops <= (1 << min(rank, BLOCK_WIDTH)) * slots:
-            method, width = "table", min(rank, BLOCK_WIDTH)
-    if method == "linear" and expect and kind.witness is not None:
-        from .bitslice import BLOCK_WIDTH, slot_matrix
-
-        method, width = "cover", min(rank, BLOCK_WIDTH)
+    width = min(rank, core.BLOCK_WIDTH)
+    # a span of rank 0 has no member to decide and reports a per-member path
+    if rank and ops <= (1 << width) * slots:
+        method = "table"
+    elif expect and kind.witness is not None:
+        method = "cover"
+        # bitslice is imported only for the cover's slot columns
+        from .bitslice import slot_matrix
+    else:
+        method = "linear"
     # the table decides by block number alone, so only the other paths
     # list the low span
     low = () if method == "table" else ordered_span(rows[:width])
@@ -190,12 +189,13 @@ def _first_failure(n: int, rows, pred: Predicate,
             cols = slot_matrix(n, b, width, rows)[0]
         while undecided:
             bit = undecided & -undecided
-            calls += 1
             if method == "table":
+                calls += 1
                 table = pred.table(n, b, width, rows)
                 failed = undecided & (ones ^ table if expect else table)
                 covered = undecided
             elif method == "cover":
+                calls += 1
                 w = kind.witness(pred, n, top ^ low[bit.bit_length() - 1])
                 failed = bit if w is None else 0
                 # the members that contain W, bit among them; clearing bit
@@ -207,9 +207,15 @@ def _first_failure(n: int, rows, pred: Predicate,
                     w ^= s
                 covered |= bit
             else:
-                member = top ^ low[bit.bit_length() - 1]
-                failed = bit if pred.test_mask(n, member) != expect else 0
-                covered = bit
+                # one kernel call per undecided member, in order, up to the
+                # first failure, so the bitset is touched once per block
+                failed = 0
+                for k in range(bit.bit_length() - 1, len(low)):
+                    calls += 1
+                    if pred.test_mask(n, top ^ low[k]) != expect:
+                        failed = 1 << k
+                        break
+                covered = undecided
             if failed:
                 return (b << width | (failed & -failed).bit_length() - 1,
                         calls, method)

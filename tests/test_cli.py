@@ -363,7 +363,7 @@ def test_pattern_file_must_hold_one_graph(tmp_path, capsys, prefix):
     save_family(fam, 4, [empty_graph(4), complete_graph(4)])
     err = _one_error_line(capsys, "verify", "--pred", f"{prefix}:{pat}",
                           str(fam))
-    assert "exactly one graph" in err
+    assert err == f"error: {pat}: must hold exactly one graph, not 2\n"
 
 
 def test_host_file_must_hold_one_graph(tmp_path, capsys):
@@ -371,7 +371,7 @@ def test_host_file_must_hold_one_graph(tmp_path, capsys):
     save_family(host, 5, [empty_graph(5), complete_graph(5)])
     err = _one_error_line(capsys, "build", "--family", "dual-subgraph",
                           "--n", "5", "--host", str(host))
-    assert "exactly one graph" in err
+    assert err == f"error: {host}: must hold exactly one graph, not 2\n"
 
 
 def _family_doc(**changes):

@@ -59,12 +59,20 @@ def test_certificate_translates():
 
 
 def test_size_limits():
-    with pytest.raises(CapabilityError):
-        S.max_good_family(6, P.CONNECTED)
-    with pytest.raises(CapabilityError):
-        S.max_dual_family(5, P.CONNECTED)
-    with pytest.raises(CapabilityError):
-        S.max_linear_family(9, P.CONNECTED)
+    # each search checks its limit first, then n >= 2
+    for search, limit, message in (
+            (S.max_good_family, 5,
+             "exact good-family search is limited to n <= 5"),
+            (S.max_dual_family, 4,
+             "exact dual-family search is limited to n <= 4"),
+            (S.max_linear_family, 8, "linear search is limited to n <= 8")):
+        with pytest.raises(CapabilityError) as exc:
+            search(limit + 1, P.CONNECTED)
+        assert str(exc.value) == message
+        for n in (1, 0):
+            with pytest.raises(DomainError) as exc:
+                search(n, P.CONNECTED)
+            assert str(exc.value) == "need n >= 2"
 
 
 def test_budget_exhaustion_reports_timeout():
@@ -108,11 +116,6 @@ def test_max_linear_never_beats_max_good():
         good = S.max_good_family(4, pred)
         assert lin.status == good.status == "exact"
         assert lin.optimum <= good.optimum
-
-
-def test_max_linear_respects_rank_cap():
-    r = S.max_linear_family(4, P.CONNECTED, max_rank=2)
-    assert r.rank == 2 and r.optimum == 4
 
 
 def test_linear_rank_bound_table():

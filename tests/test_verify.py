@@ -20,7 +20,7 @@ from graphcodes import (
 )
 from graphcodes import constructions as C
 from graphcodes import predicates as P
-from graphcodes import bitslice as B
+from graphcodes import core
 from graphcodes import verify as V
 from graphcodes.linalg import LinearFamily, enumerate_span
 
@@ -233,7 +233,7 @@ def assert_engine_matches_naive(fam, exact_calls=True):
             if not rep.passed or rep.method == "cover":
                 assert rep.predicate_calls <= d
             elif rep.method == "table":
-                width = min(rank, B.BLOCK_WIDTH)
+                width = min(rank, core.BLOCK_WIDTH)
                 assert rep.predicate_calls == 1 << rank - width
             else:
                 assert rep.predicate_calls == d
@@ -312,7 +312,7 @@ def test_engine_matches_naive_when_coset_fails_at_its_largest_difference():
 def test_engine_matches_naive_on_multi_block_cosets(monkeypatch):
     # with blocks of 4 members, shuffled and shifted cosets of rank up to 6
     # take the table over several blocks, the cover and the kernel walk
-    monkeypatch.setattr(B, "BLOCK_WIDTH", 2)
+    monkeypatch.setattr(core, "BLOCK_WIDTH", 2)
     rng = random.Random(19)
     cosets = [(6, C.split_clique_family(6).masks()),
               (4, C.dual_star_family(4).masks())]
@@ -531,7 +531,7 @@ def test_table_path_walks_blocks_until_the_first_failure(monkeypatch):
     # with blocks of 4 members, a rank-5 span whose first disconnected
     # member lies past the second block is decided by the table of its own
     # block, after the passing blocks before it
-    monkeypatch.setattr(B, "BLOCK_WIDTH", 2)
+    monkeypatch.setattr(core, "BLOCK_WIDTH", 2)
     rng = random.Random(5)
     while True:
         fam = LinearFamily(6, tuple(LabeledGraph(6, rng.getrandbits(15))
