@@ -305,15 +305,18 @@ def test_sub_pattern_predicate(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("pred", ("hamcycle", "connected", "oddcycle",
-                                  "kconn:4"))
+@pytest.mark.parametrize("family, pred", (
+    (("hamcycle", "--n", "8"), "hamcycle"),  # the cover
+    (("hamcycle", "--n", "8"), "connected"),  # the table
+    (("hamming-3conn", "--k", "3"), "3conn"),  # the kernel walk
+    (("hamcycle", "--n", "8"), "kconn:4"),  # a failing kernel walk
+), ids=("cover", "table", "kernel", "kernel-fail"))
 @pytest.mark.parametrize("extra", ((), ("--json",)), ids=("text", "json"))
-def test_linear_flag_reads_a_plain_file_as_a_basis(tmp_path, capsys, pred,
-                                                   extra):
-    # the cover, the table, the kernel walk and a failing kernel walk
-    basis = tmp_path / "hc8.json"
-    assert run("build", "--family", "hamcycle", "--n", "8",
-               "--out", str(basis)) == 0
+def test_linear_flag_reads_a_plain_file_as_a_basis(tmp_path, capsys, family,
+                                                   pred, extra):
+    basis = tmp_path / "basis.json"
+    name, *params = family
+    assert run("build", "--family", name, *params, "--out", str(basis)) == 0
     loaded = load_family(basis)
     plain = tmp_path / "plain.json"
     save_family(plain, loaded.n, loaded.graphs)
