@@ -6,7 +6,8 @@ import pytest
 
 from graphcodes.cli import main
 from graphcodes.family import load_family, save_family
-from graphcodes import complete_bipartite_graph, empty_graph, complete_graph
+from graphcodes import (LabeledGraph, complete_bipartite_graph, complete_graph,
+                        empty_graph)
 
 
 def run(*argv):
@@ -408,6 +409,19 @@ def test_verify_checks_the_domain_of_an_empty_span(tmp_path, capsys, pred, n,
     path.write_text(json.dumps(_family_doc(n=5, graphs=[], role="basis")))
     assert run("verify", "--pred", pred, str(path)) == 0
     assert capsys.readouterr().out == "PASS [linear] checked 0 members\n"
+
+
+def test_linear_verify_past_the_rank_limit_exits_2(tmp_path, capsys):
+    # 27 single-edge generators on 9 vertices span 2^27 graphs
+    path = tmp_path / "rank27.json"
+    save_family(path, 9, [LabeledGraph(9, 1 << s) for s in range(27)],
+                role="basis")
+    for argv in (("--linear",), ()):
+        assert run("verify", "--pred", "connected", *argv, str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: rank 27 exceeds the enumeration budget 26\n")
 
 
 @pytest.mark.parametrize("argv, shown", (

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from math import comb
 
 import pytest
@@ -185,6 +186,51 @@ def test_star_family_masks_are_pinned(n):
     assert hashlib.sha256(masks).hexdigest() == STAR_FAMILY_MASKS[n]
 
 
+# sha256 of repr(masks()) of each split-clique family, recorded from one
+# loop over the sides containing vertex 1 per family
+SPLIT_FAMILY_MASKS = {
+    ("split-clique", 2): "923682bea6d517dc178d480c88e129e485ed902f4fa024866666658cd4ea6836",
+    ("split-clique", 3): "5a45f46a6cc8b037f3977143a496ba2e34cfbc6bea3acb4295ad78c611c0efba",
+    ("split-clique", 4): "a33962386fadfeb049692860329e39a9c6a3982605d3a06a836c771e16ef6e1c",
+    ("split-clique", 5): "6c425aed4537a77de10de3abe6a6d674bb567e6b606f06f8e79470dd9a69ba25",
+    ("split-clique", 6): "0c708536bd731a5f49bb2e44546d4b6f045a0f119821b553b862959966665674",
+    ("split-clique", 7): "693c428bcf13b22b2e0d9c8a5b06b5c681205da66ea724de80bf881fec8597b2",
+    ("split-clique", 8): "2b07a71d551797ce231518c93cf11b58eb93d100d354d9234b27131720204872",
+    ("split-clique", 9): "3dce2dbd3e7edb4f845df8754cf855987e3fa3053f93b373c689f944fb5c14bf",
+    ("split-clique", 10): "f14be90c34c1f47d28ee488f4b99d2b7470c0916848e61600cc7556175ebbfbc",
+    ("split-clique", 11): "139ae9dce30a9d4478b9710c182f5aa02643b4f1a41333d433f6bd14bbb31a19",
+    ("split-clique", 12): "356734a2bfef93a9aefc4d9e59de7d02d0b1e7089ebbf1541ff2f63fcf74d6f0",
+    ("even-split", 4): "77a72b9c3a714d1899e4ec8f1be594742bade0adb0432eba2745ca7a6cf184c5",
+    ("even-split", 6): "92c5cdd0979977ecab16dd60b92e8949c56aec00d59d9c3901e2b3fa5bdc4c93",
+    ("even-split", 8): "0c0f33a3872e1054bc789f7ba3dfcd79881962b8fd45be9ab6e3834e3da06494",
+    ("even-split", 10): "424ff1e518168b9d22d2e0daa55db5fa701865f8282766b36e3a4a82b0f487a8",
+    ("even-split", 12): "2e87300d1acfd6b2260349d9b8c8096a7914ca0f89db8aad53e5f3de316d9097",
+    ("odd-2conn", 3): "9256b3c60b4c2079ce02d8b72d585797f60e6f1f80d4297bd39d7e5c36036012",
+    ("odd-2conn", 5): "c4ca8d1cfa82882c075ec3c9879cd47ed7297e62a65dc54261f2e3e8a53ae1d0",
+    ("odd-2conn", 7): "43df8c01c860b886849e55b860cb512707fd30088472862b4ebb2224ca674992",
+    ("odd-2conn", 9): "e06cdd10e70821bb24f8b19ea2bb8def4ab159b018221f58865ae4446db73bc1",
+    ("odd-2conn", 11): "cb18a4fad3f316df8a6639540e28e42e76ffbbc9a8367b64aa181773a5dbf574",
+}
+
+
+@pytest.mark.parametrize("construction, n", sorted(SPLIT_FAMILY_MASKS))
+def test_split_families_are_pinned(construction, n):
+    fam = C.REGISTRY[construction][1](n)
+    masks = repr(fam.masks()).encode()
+    assert hashlib.sha256(masks).hexdigest() == SPLIT_FAMILY_MASKS[construction, n]
+    assert fam.provenance == {"construction": construction, "n": n}
+
+
+@pytest.mark.parametrize("fam, provenance", (
+    (C.k3_family_3(), {"construction": "k3-3"}),
+    (C.odd_two_conn_family(3), {"construction": "odd-2conn", "n": 3}),
+    (C.star_family(2), {"construction": "star", "n": 2}),
+), ids=("k3-3", "odd-2conn-3", "star-2"))
+def test_empty_and_complete_pairs_are_pinned(fam, provenance):
+    assert fam.masks() == [0, (1 << edge_slots(fam.n)) - 1]
+    assert (fam.provenance, fam.claimed_size) == (provenance, 2)
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_star_family_center_matches_auxiliary_coloring(n):
     fam = C.star_family(n)
@@ -268,6 +314,14 @@ def test_dual_subgraph_family():
         assert g.bits & ~host.bits == 0
     with pytest.raises(DomainError):
         C.dual_subgraph_family(4, host)
+
+
+def test_dual_lowdeg_refuses_past_the_enumeration_budget():
+    # 9 * 2^28 graphs: refused from the closed-form size, before any listing
+    start = time.perf_counter()
+    with pytest.raises(CapabilityError):
+        C.dual_lowdeg_family(9)
+    assert time.perf_counter() - start < 1
 
 
 def test_enumeration_budget():

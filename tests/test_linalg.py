@@ -50,6 +50,15 @@ def test_enumerate_span_examples():
     assert span_h7[0].is_empty
 
 
+@pytest.mark.parametrize("fam", (LinearFamily(3, ()), k3_family_5(),
+                                 hamming_bipartite_family(3)),
+                         ids=("empty", "k3-5", "hamming-3"))
+def test_enumerate_span_provenance(fam):
+    expected = {"construction": "span", "rank": fam.rank}
+    assert enumerate_span(fam).provenance == expected
+    assert fam.enumerate_span().provenance == expected
+
+
 def test_span_sorted_and_sized():
     fam = k3_family_6()
     masks = fam.span_masks()
