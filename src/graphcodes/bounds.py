@@ -176,14 +176,8 @@ def distancity(pattern: LabeledGraph, induced: bool = False) -> Fraction:
     The induced and non-induced variants coincide.  Edgeless patterns fall
     outside the formula (their families behave like clique-agreement codes).
     """
-    if pattern.is_empty:
-        raise UnsupportedParameterError(
-            "distancity formula needs a pattern with at least one edge"
-        )
-    from fractions import Fraction
-
     del induced  # same value either way
-    return Fraction(1, chromatic_number(pattern) - 1)
+    return distancity_of_class([pattern])
 
 
 def distancity_of_class(patterns) -> Fraction:
@@ -192,12 +186,11 @@ def distancity_of_class(patterns) -> Fraction:
     pats = list(patterns)
     if not pats:
         raise DomainError("need at least one pattern")
-    chi_min = min(chromatic_number(p) for p in pats)
-    if any(p.is_empty for p in pats) or chi_min < 2:
+    if any(p.is_empty for p in pats):
         raise UnsupportedParameterError("patterns must each contain an edge")
     from fractions import Fraction
 
-    return Fraction(1, chi_min - 1)
+    return Fraction(1, min(chromatic_number(p) for p in pats) - 1)
 
 
 def rate(n: int, family_size: int) -> float:

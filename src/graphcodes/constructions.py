@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import CapabilityError, DomainError, UnsupportedParameterError
 from .factorization import starter_factorization, verify_p1f
-from .family import ENUM_BUDGET, GraphFamily, ImplicitFamily
+from .family import GraphFamily, ImplicitFamily, check_enumerable
 from .linalg import LinearFamily, gf2_ordered_basis, ordered_span
 
 
@@ -53,10 +53,23 @@ def _split_clique_mask(n: int, side: int) -> int:
     return ((1 << edge_slots(n)) - 1) ^ _cut_mask(n, side)
 
 
-def _sides_with_vertex_one(n: int):
-    """Each unordered bipartition of [n] once, as the side containing vertex 1."""
-    for t in range(1 << (n - 1)):
-        yield (t << 1) | 1
+def _split_family(n: int, construction: str, claimed_size: int,
+                  keep) -> GraphFamily:
+    """The split-clique graphs of the bipartitions whose side S containing
+    vertex 1 passes ``keep(S)``, each unordered bipartition once."""
+    sides = ((t << 1) | 1 for t in range(1 << (n - 1)))
+    graphs = tuple(LabeledGraph(n, _split_clique_mask(n, side))
+                   for side in sides if keep(side))
+    return GraphFamily(
+        n, graphs, provenance={"construction": construction, "n": n},
+        claimed_size=claimed_size,
+    )
+
+
+def _empty_and_complete(n: int, provenance: dict) -> GraphFamily:
+    """The pair {empty, K_n}, whose one difference is K_n."""
+    return GraphFamily(n, (empty_graph(n), complete_graph(n)),
+                       provenance=provenance, claimed_size=2)
 
 
 def split_clique_family(n: int) -> GraphFamily:
@@ -68,14 +81,7 @@ def split_clique_family(n: int) -> GraphFamily:
     if n < 2:
         raise DomainError("need n >= 2")
     check_vertex_count(n)
-    graphs = tuple(
-        LabeledGraph(n, _split_clique_mask(n, side))
-        for side in _sides_with_vertex_one(n)
-    )
-    return GraphFamily(
-        n, graphs, provenance={"construction": "split-clique", "n": n},
-        claimed_size=1 << (n - 1),
-    )
+    return _split_family(n, "split-clique", 1 << (n - 1), lambda side: True)
 
 
 def even_split_family(n: int) -> GraphFamily:
@@ -87,15 +93,8 @@ def even_split_family(n: int) -> GraphFamily:
     if n % 2 or n < 4:
         raise DomainError("need even n >= 4")
     check_vertex_count(n)
-    graphs = tuple(
-        LabeledGraph(n, _split_clique_mask(n, side))
-        for side in _sides_with_vertex_one(n)
-        if side.bit_count() % 2 == 0
-    )
-    return GraphFamily(
-        n, graphs, provenance={"construction": "even-split", "n": n},
-        claimed_size=1 << (n - 2),
-    )
+    return _split_family(n, "even-split", 1 << (n - 2),
+                         lambda side: side.bit_count() % 2 == 0)
 
 
 def odd_two_conn_family(n: int) -> GraphFamily:
@@ -110,20 +109,11 @@ def odd_two_conn_family(n: int) -> GraphFamily:
         raise DomainError("need odd n >= 3")
     check_vertex_count(n)
     if n == 3:
-        return GraphFamily(
-            3, (empty_graph(3), complete_graph(3)),
-            provenance={"construction": "odd-2conn", "n": 3}, claimed_size=2,
-        )
+        return _empty_and_complete(3, {"construction": "odd-2conn", "n": 3})
     want_parity = 1 if n % 4 == 1 else 0
-    graphs = []
-    for side in _sides_with_vertex_one(n):
-        small = min(side.bit_count(), n - side.bit_count())
-        if small % 2 == want_parity:
-            graphs.append(LabeledGraph(n, _split_clique_mask(n, side)))
-    return GraphFamily(
-        n, tuple(graphs), provenance={"construction": "odd-2conn", "n": n},
-        claimed_size=(1 << (n - 2)) - comb(n - 2, (n - 3) // 2),
-    )
+    return _split_family(
+        n, "odd-2conn", (1 << (n - 2)) - comb(n - 2, (n - 3) // 2),
+        lambda s: min(s.bit_count(), n - s.bit_count()) % 2 == want_parity)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +234,7 @@ def star_family(n: int) -> GraphFamily:
         raise DomainError("need n >= 2")
     check_vertex_count(n)
     if n == 2:
-        return GraphFamily(
-            2, (empty_graph(2), complete_graph(2)),
-            provenance={"construction": "star", "n": 2}, claimed_size=2,
-        )
+        return _empty_and_complete(2, {"construction": "star", "n": 2})
     # m members and K_m's matchings: m = n + 1 for odd n; for even n, m = n
     # and each edge {i, n} is decided by M_i alone
     m = n + n % 2
@@ -280,10 +267,7 @@ def _g(n: int, edge_text: str) -> LabeledGraph:
 
 def k3_family_3() -> GraphFamily:
     """The empty graph and a triangle; pairwise difference is K_3."""
-    return GraphFamily(
-        3, (empty_graph(3), complete_graph(3)),
-        provenance={"construction": "k3-3"}, claimed_size=2,
-    )
+    return _empty_and_complete(3, {"construction": "k3-3"})
 
 
 def k3_family_4() -> GraphFamily:
@@ -370,8 +354,8 @@ def clique_agreement_implicit(n: int, r: int) -> ImplicitFamily:
     )
 
 
-def clique_agreement_family(n: int, r: int, budget: int = ENUM_BUDGET) -> GraphFamily:
-    return clique_agreement_implicit(n, r).enumerate(budget)
+def clique_agreement_family(n: int, r: int) -> GraphFamily:
+    return clique_agreement_implicit(n, r).enumerate()
 
 
 def dual_isolated_implicit(n: int) -> ImplicitFamily:
@@ -385,8 +369,8 @@ def dual_isolated_implicit(n: int) -> ImplicitFamily:
     )
 
 
-def dual_isolated_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
-    return dual_isolated_implicit(n).enumerate(budget)
+def dual_isolated_family(n: int) -> GraphFamily:
+    return dual_isolated_implicit(n).enumerate()
 
 
 def dual_pendant_implicit(n: int) -> ImplicitFamily:
@@ -401,8 +385,8 @@ def dual_pendant_implicit(n: int) -> ImplicitFamily:
     )
 
 
-def dual_pendant_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
-    return dual_pendant_implicit(n).enumerate(budget)
+def dual_pendant_family(n: int) -> GraphFamily:
+    return dual_pendant_implicit(n).enumerate()
 
 
 def dual_lowdeg_size(n: int) -> int:
@@ -410,7 +394,7 @@ def dual_lowdeg_size(n: int) -> int:
     return n << edge_slots(n - 1)
 
 
-def dual_lowdeg_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
+def dual_lowdeg_family(n: int) -> GraphFamily:
     """Vertex n of degree at most 1; sized n * 2^C(n-1,2).  Differences give
     vertex n degree at most 2, so none is 3-connected."""
     if n < 2:
@@ -418,8 +402,7 @@ def dual_lowdeg_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
     check_vertex_count(n)
     inner = edge_slots(n - 1)
     size = dual_lowdeg_size(n)
-    if size > budget:
-        raise CapabilityError(f"{size} graphs exceed the enumeration budget")
+    check_enumerable(size)
     graphs = []
     for choice in range(n):
         extra = 0 if choice == 0 else 1 << edge_index(choice, n, n)
@@ -456,8 +439,8 @@ def dual_star_implicit(n: int) -> ImplicitFamily:
     )
 
 
-def dual_star_family(n: int, budget: int = ENUM_BUDGET) -> GraphFamily:
-    return dual_star_implicit(n).enumerate(budget)
+def dual_star_family(n: int) -> GraphFamily:
+    return dual_star_implicit(n).enumerate()
 
 
 def dual_subgraph_implicit(n: int, host: LabeledGraph) -> ImplicitFamily:
@@ -472,10 +455,8 @@ def dual_subgraph_implicit(n: int, host: LabeledGraph) -> ImplicitFamily:
     )
 
 
-def dual_subgraph_family(
-    n: int, host: LabeledGraph, budget: int = ENUM_BUDGET
-) -> GraphFamily:
-    return dual_subgraph_implicit(n, host).enumerate(budget)
+def dual_subgraph_family(n: int, host: LabeledGraph) -> GraphFamily:
+    return dual_subgraph_implicit(n, host).enumerate()
 
 
 

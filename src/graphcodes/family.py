@@ -15,12 +15,19 @@ import json
 import random
 from pathlib import Path
 
-from .core import Frozen, LabeledGraph, edge_slots, vertex_limit
+from .core import Frozen, LabeledGraph, _fmt_size, edge_slots, vertex_limit
 from .errors import CapabilityError, DomainError
 
 FORMAT_VERSION = 1
 EDGE_ORDER = "colex-1based"
 ENUM_BUDGET = 1 << 24
+
+
+def check_enumerable(size: int) -> None:
+    """Refuse to list more than ``ENUM_BUDGET`` graphs at once."""
+    if size > ENUM_BUDGET:
+        raise CapabilityError(f"{_fmt_size(size)} graphs exceed the "
+                              f"enumeration budget {_fmt_size(ENUM_BUDGET)}")
 
 
 class GraphFamily(Frozen):
@@ -98,15 +105,11 @@ class ImplicitFamily(Frozen):
         bits = self.base_bits | (rng.getrandbits(edge_slots(self.n)) & self.free_mask)
         return LabeledGraph(self.n, bits)
 
-    def enumerate(self, budget: int = ENUM_BUDGET) -> GraphFamily:
+    def enumerate(self) -> GraphFamily:
         """Every member as an explicit family, in increasing mask order (the
         submasks of ``free_mask`` counted upward)."""
+        check_enumerable(self.size)
         free = self.free_mask
-        if free.bit_count() >= budget.bit_length():
-            raise CapabilityError(
-                f"2^{free.bit_count()} graphs exceed the enumeration budget "
-                f"{budget}; use the implicit representation"
-            )
         graphs = [LabeledGraph(self.n, self.base_bits)]
         sub = 0
         while sub != free:

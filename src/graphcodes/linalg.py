@@ -9,10 +9,8 @@ the span in ascending order from that basis.
 from __future__ import annotations
 
 from .core import Frozen, LabeledGraph, edge_slots
-from .errors import CapabilityError, DomainError
-from .family import GraphFamily
-
-SPAN_RANK_BUDGET = 26
+from .errors import DomainError
+from .family import GraphFamily, check_enumerable
 
 
 def gf2_ordered_basis(masks) -> list[int]:
@@ -106,29 +104,18 @@ class LinearFamily(Frozen):
     def contains(self, g: LabeledGraph) -> bool:
         return g.n == self.n and gf2_in_span(g.bits, self.rows)
 
-    def check_span_budget(self) -> None:
-        """Refuse a span past the enumeration budget."""
-        if self.rank > SPAN_RANK_BUDGET:
-            raise CapabilityError(
-                f"rank {self.rank} exceeds the enumeration budget "
-                f"{SPAN_RANK_BUDGET}"
-            )
-
     def span_masks(self) -> list[int]:
         """All 2^rank span elements as masks, ascending."""
-        self.check_span_budget()
+        check_enumerable(self.span_size)
         return ordered_span(self.rows)
 
-    def enumerate_span(self, provenance: dict | None = None) -> GraphFamily:
+    def enumerate_span(self) -> GraphFamily:
         """The span as an explicit family, deduplicated, ascending edge order."""
-        masks = self.span_masks()
-        prov = dict(provenance) if provenance else {"construction": "span"}
-        prov.setdefault("rank", self.rank)
         return GraphFamily(
             self.n,
-            tuple(LabeledGraph(self.n, m) for m in masks),
-            provenance=prov,
-            claimed_size=1 << self.rank,
+            tuple(LabeledGraph(self.n, m) for m in self.span_masks()),
+            provenance={"construction": "span", "rank": self.rank},
+            claimed_size=self.span_size,
         )
 
 

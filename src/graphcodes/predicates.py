@@ -373,8 +373,7 @@ def is_connected(g: LabeledGraph) -> bool:
 
 def vertex_connectivity(g: LabeledGraph) -> int:
     """Minimum vertex cut size; n-1 for complete graphs."""
-    if g.n < 2:
-        raise DomainError("connectivity needs at least 2 vertices")
+    CONNECTED._domain(g.n)
     return _kappa_mask(g.n, g.bits)
 
 

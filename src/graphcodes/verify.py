@@ -21,12 +21,12 @@ import random
 from . import core
 from .core import Frozen, LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
-from .family import GraphFamily, ImplicitFamily
+from .family import GraphFamily, ImplicitFamily, check_enumerable
 from .linalg import LinearFamily, gf2_ordered_basis, ordered_span
 from .predicates import Predicate
 
 MEMO_CAP = 1 << 18
-CROSS_PRODUCT_BUDGET = 1 << 24
+SPAN_RANK_BUDGET = 26
 
 
 class VerifyReport(Frozen):
@@ -230,7 +230,9 @@ def verify_linear_family(fam: LinearFamily, pred: Predicate) -> VerifyReport:
     pair is (0, i) for the smallest failing member i, and ``pairs_checked``
     is i.  The members are decided by ``_first_failure`` over the span's
     ordered basis, on the table, cover or kernel path."""
-    fam.check_span_budget()
+    if fam.rank > SPAN_RANK_BUDGET:
+        raise CapabilityError(f"rank {fam.rank} exceeds the enumeration "
+                              f"budget {SPAN_RANK_BUDGET}")
     i, calls, method = _first_failure(fam.n, fam.rows, pred, True)
     if i is None:
         return VerifyReport(True, "linear", fam.span_size - 1, None, method,
@@ -279,9 +281,7 @@ def verify_dual_sampled(
     return VerifyReport(True, "dual-sampled", pairs, None, "sampled", pairs)
 
 
-def cross_difference_distinct(
-    a: GraphFamily, b: GraphFamily, budget: int = CROSS_PRODUCT_BUDGET
-) -> bool:
+def cross_difference_distinct(a: GraphFamily, b: GraphFamily) -> bool:
     """Whether all |A| * |B| differences G xor T (G in A, T in B) are distinct.
 
     Callers pair a good family with a dual family for the same predicate;
@@ -290,10 +290,7 @@ def cross_difference_distinct(
         raise DomainError("families live on different vertex counts")
     a_masks = a.masks()
     b_masks = b.masks()
-    if len(a_masks) * len(b_masks) > budget:
-        raise CapabilityError(
-            f"{len(a_masks)} * {len(b_masks)} differences exceed the budget {budget}"
-        )
+    check_enumerable(len(a_masks) * len(b_masks))
     if len(set(a_masks) & set(b_masks)) >= 2:
         raise DomainError(
             "families share two or more graphs; good/dual premise violated"

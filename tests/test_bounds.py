@@ -206,6 +206,14 @@ def test_distancity_of_class():
         B.distancity_of_class([])
 
 
+def test_edgeless_pattern_past_the_chromatic_cap_has_no_distancity():
+    # refused before any chromatic number, whose pattern cap is 10 vertices
+    with pytest.raises(UnsupportedParameterError):
+        B.distancity(empty_graph(11))
+    with pytest.raises(UnsupportedParameterError):
+        B.distancity_of_class([empty_graph(11)])
+
+
 def test_rate():
     assert B.rate(5, 16) == 2 * 4 / 20
     assert B.rate(3, 1) == 0.0

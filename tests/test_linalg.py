@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -108,6 +109,17 @@ def test_rank_budget():
     assert fam.rank == 27
     with pytest.raises(CapabilityError):
         fam.span_masks()
+
+
+def test_span_listing_refused_past_the_enumeration_budget():
+    # 2^25 members: refused before any is listed
+    n = 8
+    fam = LinearFamily(n, [LabeledGraph(n, 1 << s) for s in range(25)])
+    start = time.perf_counter()
+    with pytest.raises(CapabilityError, match=r"^2\^25 graphs exceed the "
+                       r"enumeration budget 2\^24$"):
+        fam.span_masks()
+    assert time.perf_counter() - start < 1
 
 
 def xor_closure(masks):

@@ -130,7 +130,8 @@ def test_cross_difference_examples():
     with pytest.raises(DomainError):
         cross_difference_distinct(a5, a5)
     with pytest.raises(CapabilityError):
-        cross_difference_distinct(a5, b5, budget=100)
+        cross_difference_distinct(C.split_clique_family(14),
+                                  C.even_split_family(14))
     with pytest.raises(DomainError, match="different vertex counts"):
         cross_difference_distinct(a5, C.dual_isolated_family(4))
 
