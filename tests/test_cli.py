@@ -253,6 +253,26 @@ def test_build_dual_subgraph_with_host_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_build_dual_subgraph_with_host_output_is_pinned(tmp_path, monkeypatch,
+                                                        capsys):
+    # the host graph reaches the file through the builder's own provenance
+    monkeypatch.chdir(tmp_path)
+    save_family("host.json", 5, [complete_bipartite_graph(5, {1, 2})])
+    argv = ["build", "--family", "dual-subgraph", "--n", "5",
+            "--host", "host.json", "--out", "o.json"]
+    for extra, sha in (
+            ((), "06cbf7279963618e28259450af388d37f92980875c2bc28d45dcfa471b6d6881"),
+            (("--json",),
+             "222a5a276701d0bd96e845060f99302cefd5d58586164b1683dab98f691a431e")):
+        assert run(*argv, *extra) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, (extra, out)
+        assert hashlib.sha256((tmp_path / "o.json").read_bytes()).hexdigest() \
+            == "38e432449577dee606733e831574cc6da829550bf48292398df0c916037d1467"
+    assert load_family("o.json").provenance == {
+        "construction": "dual-subgraph", "host": "de00", "n": 5}
+
+
 def test_unknown_family(capsys):
     assert run("build", "--family", "nope", "--n", "4") == 2
     capsys.readouterr()
