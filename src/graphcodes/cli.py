@@ -40,9 +40,8 @@ def _cmd_build(args):
         value = getattr(args, name)
         if value is None:
             raise GraphCodesError(f"family {args.family!r} needs --{name}")
-        if name == "host":
+        if name == "host":  # its builder records it in its own provenance
             value = load_graph(value)
-            prov_params["host"] = value.to_hex()
         else:
             prov_params[name] = value
         params.append(value)
