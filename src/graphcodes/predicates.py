@@ -3,12 +3,18 @@
 All predicates are total on graphs with enough vertices and evaluate exactly;
 there are no heuristics.  Each has a mask-level entry point so that verifiers
 can test millions of symmetric differences without building graph objects.
+
+Each kind also has a formula over the bit columns of a block of masks
+(``bitslice.edge_matrix``, one bitset per vertex pair) that combines them with
+AND, OR and complement into the bitset of the masks on which the predicate
+holds, so each big-int operation decides the whole block (Biham, FSE 1997).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
+from itertools import combinations, permutations
 from math import comb, perm
 from typing import NamedTuple
 
@@ -225,6 +231,45 @@ def _is_k_connected_mask(n: int, bits: int, k: int) -> bool:
     return _kappa(n, adj, k, need=k) == k
 
 
+def _reach_table(n: int, e: list[list[int]], seed: int, alive: int) -> int:
+    """The masks of ``seed`` on which the vertex set ``alive`` induces a
+    connected graph: a BFS from its lowest vertex, run on every mask at once
+    until no reach set grows."""
+    verts = [v for v in range(n) if alive >> v & 1]
+    sets = [0] * n
+    sets[verts[0]] = seed
+    grown = True
+    while grown:
+        grown = False
+        for v in verts:
+            r = old = sets[v]
+            row = e[v]
+            for u in verts:
+                r |= sets[u] & row[u]
+            if r != old:
+                sets[v] = r
+                grown = True
+    out = seed
+    for v in verts:
+        out &= sets[v]
+    return out
+
+
+def _kconn_table(n: int, e: list[list[int]], ones: int, k: int) -> int:
+    """n >= k + 1, and G - X is connected for every X of fewer than k
+    vertices."""
+    if n < k + 1:
+        return 0
+    full = (1 << n) - 1
+    out = ones
+    for size in range(k):
+        for cut in combinations(range(n), size):
+            out = _reach_table(n, e, out, full ^ sum(1 << v for v in cut))
+            if not out:
+                return 0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian paths and cycles (one backtrack with a path/cycle switch)
 
@@ -285,6 +330,29 @@ def _hamiltonian_mask(n: int, bits: int, cycle: bool) -> int | None:
     return None
 
 
+def _ham_table(n: int, e: list[list[int]], ones: int, cycle: bool) -> int:
+    """Held-Karp (1962) on every mask at once: ``layer[(s, v)]`` is the masks
+    with a path through exactly the vertex set s that ends at v, starting
+    anywhere for a path and at vertex 0 for a cycle.  Only the layer of the
+    current |s| is kept."""
+    layer = {(1, 0): ones} if cycle else {(1 << v, v): ones for v in range(n)}
+    for _ in range(n - 1):
+        nxt: dict[tuple[int, int], int] = {}
+        for (s, v), d in layer.items():
+            row = e[v]
+            for w in range(n):
+                if not s >> w & 1:
+                    t = d & row[w]
+                    if t:
+                        key = (s | 1 << w, w)
+                        nxt[key] = nxt.get(key, 0) | t
+        layer = nxt
+    out = 0
+    for (s, v), d in layer.items():
+        out |= d & e[v][0] if cycle else d
+    return out
+
+
 # ---------------------------------------------------------------------------
 # spanning star, subgraph containment, odd cycles (core's 2-coloring)
 
@@ -294,6 +362,18 @@ def _spanning_star_mask(n: int, bits: int) -> bool:
         if bits & inc == inc:
             return True
     return False
+
+
+def _star_table(n: int, e: list[list[int]], ones: int) -> int:
+    """The OR over the vertices of the AND of their edges."""
+    out = 0
+    for v in range(n):
+        t = ones
+        for u in range(n):
+            if u != v:
+                t &= e[u][v]
+        out |= t
+    return out
 
 
 def _pattern_order(pn: int, padj: list[int]) -> list[int]:
@@ -357,9 +437,60 @@ def _contains_mask(n: int, bits: int, pn: int, pbits: int,
     return placed
 
 
+def _contains_table(n: int, e: list[list[int]], ones: int,
+                    pattern: LabeledGraph, induced: bool) -> int:
+    """The OR over the distinct placements of the pattern of the AND of its
+    edges (and, when induced, of the complements of its non-edges)."""
+    if pattern.n > n:
+        return 0
+    pedges = [(i - 1, j - 1) for i, j in pattern.edges()]
+    seen = set()
+    out = 0
+    for image in permutations(range(n), pattern.n):
+        edges = frozenset((min(image[p], image[q]), max(image[p], image[q]))
+                          for p, q in pedges)
+        key = (edges, frozenset(image) if induced else None)
+        if key in seen:
+            continue
+        seen.add(key)
+        t = ones
+        for u, v in edges:
+            t &= e[u][v]
+        if induced:
+            for u, v in combinations(sorted(image), 2):
+                if (u, v) not in edges:
+                    t &= ones ^ e[u][v]
+        out |= t
+        if out == ones:
+            break
+    return out
+
+
 def _odd_cycle_mask(n: int, bits: int) -> bool:
     """True iff some component is not two-colorable."""
     return two_coloring(adjacency_masks(n, bits)) is None
+
+
+def _odd_cycle_table(n: int, e: list[list[int]], ones: int) -> int:
+    """The complement of the OR, over the 2-colorings that give vertex 0
+    color 0, of "no edge inside a color class"; colorings grow one vertex at
+    a time, carrying the masks that already have a monochromatic edge."""
+
+    def bipartite(v: int, sides: int, mono: int) -> int:
+        if mono == ones:
+            return 0
+        if v >= n:
+            return ones ^ mono
+        out = 0
+        for side in (0, 1):
+            m = mono
+            for u in range(v):
+                if sides >> u & 1 == side:
+                    m |= e[u][v]
+            out |= bipartite(v + 1, sides | side << v, m)
+        return out
+
+    return ones ^ bipartite(1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +559,8 @@ class _Kind(NamedTuple):
     too_small: str
     ham_capped: bool  # subject to the Hamiltonicity cap
     kernel: Callable[[Predicate, int, int], bool]  # (predicate, n, bits)
-    # (bitslice module, predicate, n, edge matrix, ones) -> truth table; the
-    # module comes in as an argument because it is imported on first use
-    table: Callable[..., int]
+    # (predicate, n, edge matrix, ones) -> truth table
+    table: Callable[[Predicate, int, list[list[int]], int], int]
     # (predicate, n) -> an estimate of the big-int operations of one table
     ops: Callable[[Predicate, int], int]
     # monotone kinds only: (predicate, n, bits) -> an edge mask W within
@@ -445,35 +575,35 @@ _KINDS: dict[str, _Kind] = {
     "connected": _Kind(
         2, _CONNECTIVITY_MIN, False,
         lambda p, n, bits: _connected_mask(n, bits),
-        lambda b, p, n, e, ones: b.reach(n, e, ones, (1 << n) - 1),
+        lambda p, n, e, ones: _reach_table(n, e, ones, (1 << n) - 1),
         lambda p, n: n * n),
     "kconn": _Kind(
         2, _CONNECTIVITY_MIN, False,
         lambda p, n, bits: _is_k_connected_mask(n, bits, p.k),
-        lambda b, p, n, e, ones: b.k_connected(n, e, ones, p.k),
+        lambda p, n, e, ones: _kconn_table(n, e, ones, p.k),
         lambda p, n: sum(comb(n, s) for s in range(min(p.k, n + 1))) * n * n),
     "hampath": _Kind(
         2, "a Hamiltonian path needs at least 2 vertices", True,
         lambda p, n, bits: _hamiltonian_mask(n, bits, False) is not None,
-        lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, False),
+        lambda p, n, e, ones: _ham_table(n, e, ones, False),
         lambda p, n: (1 << n) * n * n,
         lambda p, n, bits: _hamiltonian_mask(n, bits, False)),
     "hamcycle": _Kind(
         3, "a Hamiltonian cycle needs at least 3 vertices", True,
         lambda p, n, bits: _hamiltonian_mask(n, bits, True) is not None,
-        lambda b, p, n, e, ones: b.hamiltonian(n, e, ones, True),
+        lambda p, n, e, ones: _ham_table(n, e, ones, True),
         lambda p, n: (1 << n) * n * n,
         lambda p, n, bits: _hamiltonian_mask(n, bits, True)),
     "star": _Kind(
         2, "a spanning star needs at least 2 vertices", False,
         lambda p, n, bits: _spanning_star_mask(n, bits),
-        lambda b, p, n, e, ones: b.star(n, e, ones),
+        lambda p, n, e, ones: _star_table(n, e, ones),
         lambda p, n: n * n),
     "contains": _Kind(
         0, "", False,
         lambda p, n, bits: _contains_mask(
             n, bits, p.pattern.n, p.pattern.bits, False) is not None,
-        lambda b, p, n, e, ones: b.contains(n, e, ones, p.pattern, False),
+        lambda p, n, e, ones: _contains_table(n, e, ones, p.pattern, False),
         lambda p, n: perm(n, p.pattern.n) * p.pattern.bits.bit_count(),
         lambda p, n, bits: _contains_mask(
             n, bits, p.pattern.n, p.pattern.bits, False)),
@@ -481,12 +611,12 @@ _KINDS: dict[str, _Kind] = {
         0, "", False,
         lambda p, n, bits: _contains_mask(
             n, bits, p.pattern.n, p.pattern.bits, True) is not None,
-        lambda b, p, n, e, ones: b.contains(n, e, ones, p.pattern, True),
+        lambda p, n, e, ones: _contains_table(n, e, ones, p.pattern, True),
         lambda p, n: perm(n, p.pattern.n) * comb(p.pattern.n, 2)),
     "oddcycle": _Kind(
         0, "", False,
         lambda p, n, bits: _odd_cycle_mask(n, bits),
-        lambda b, p, n, e, ones: b.odd_cycle(n, e, ones),
+        lambda p, n, e, ones: _odd_cycle_table(n, e, ones),
         lambda p, n: (1 << n) * n // 2),
 }
 
@@ -525,16 +655,16 @@ class Predicate(Frozen):
         ``block << width | i``.  ``basis`` defaults to the unit rows of the
         C(n, 2) slots, the whole mask space, so that bit i is the verdict on
         mask ``block << width | i``, and ``width`` defaults to the number of
-        rows, the whole truth table.  The predicate's formula over the bit
+        rows, the whole truth table.  The kind's formula over the bit
         columns of the block's edges (``bitslice.edge_matrix``) answers the
         whole block at once."""
         kind = self._domain(n)
-        from . import bitslice
+        from .bitslice import edge_matrix
 
         if width is None:
             width = edge_slots(n) if basis is None else len(basis)
-        e, ones = bitslice.edge_matrix(n, block, width, basis)
-        return kind.table(bitslice, self, n, e, ones)
+        e, ones = edge_matrix(n, block, width, basis)
+        return kind.table(self, n, e, ones)
 
     def test(self, g: LabeledGraph) -> bool:
         return self.test_mask(g.n, g.bits)

@@ -134,9 +134,9 @@ FOOTPRINTS = {
     "verify-coset": (["verify", "--pred", "connected", "{coset}"],
                      FAMILIES | {"graphcodes.predicates", "graphcodes.verify",
                                  "graphcodes.bitslice"}),
-    # a span decided from the truth table loads its formulas, and so does a
-    # cover, for its slot columns; oddcycle stays on the per-member kernel
-    # and does not
+    # a span decided from the truth table loads bitslice for its edge
+    # matrix, and so does a cover, for its slot columns; oddcycle stays on
+    # the per-member kernel and does not
     "verify-table": (["verify", "--pred", "connected", "{basis}"],
                      FAMILIES | {"graphcodes.predicates", "graphcodes.verify",
                                  "graphcodes.bitslice"}),
