@@ -81,8 +81,9 @@ def _is_prime(p: int) -> bool:
 def _fits_str(x: int) -> bool:
     """str(x) stays within the interpreter's int-to-str digit limit.  An x
     below 8^limit fits without building 10^limit, which takes about 30 us
-    at the default limit of 4,300 digits."""
-    limit = sys.get_int_max_str_digits()
+    at the default limit of 4,300 digits.  Python 3.10 before 3.10.7 has
+    no limit and no ``sys.get_int_max_str_digits``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     return limit == 0 or x.bit_length() <= 3 * limit or x < 10 ** limit
 
 

@@ -12,7 +12,6 @@ file re-serializes byte-identically.
 from __future__ import annotations
 
 import json
-import random
 from pathlib import Path
 
 from .core import Frozen, LabeledGraph, _fmt_size, edge_slots, vertex_limit
@@ -101,7 +100,8 @@ class ImplicitFamily(Frozen):
     def contains(self, g: LabeledGraph) -> bool:
         return g.n == self.n and (g.bits & ~self.free_mask) == self.base_bits
 
-    def sample(self, rng: random.Random) -> LabeledGraph:
+    def sample(self, rng) -> LabeledGraph:
+        """A uniform member, drawn with the ``random.Random`` ``rng``."""
         bits = self.base_bits | (rng.getrandbits(edge_slots(self.n)) & self.free_mask)
         return LabeledGraph(self.n, bits)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -110,6 +111,21 @@ def test_bound_past_the_int_to_str_limit(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert (payload["lower"], payload["upper"], payload["tight"]) == \
         ("~2^19998.991838", "2^19999", False)
+
+
+def test_bound_without_a_digit_limit(monkeypatch, capsys):
+    # Python 3.10 before 3.10.7 turns any int into a string and has no
+    # sys.get_int_max_str_digits; the lower bound then prints in full
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    try:
+        assert run("bound", "--pred", "2conn", "--n", "20001", "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(str(payload["lower"])) == 6021
+        assert payload["upper"] == 1 << 19999
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("pred", ("connected", "3conn", "hamcycle", "star",

@@ -100,6 +100,12 @@ def test_fits_str_agrees_with_str(limit):
         sys.set_int_max_str_digits(old)
 
 
+def test_fits_str_without_a_digit_limit(monkeypatch):
+    # Python 3.10 before 3.10.7 has no int-to-str limit and no getter for it
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert _fits_str(10**5000)
+
+
 def test_sym_diff_self_inverse_and_identity():
     g = graph_from_edges(4, [(1, 2), (3, 4), (1, 3)])
     assert (g ^ g) == empty_graph(4)
