@@ -259,19 +259,9 @@ def test_factorize(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_build_dual_subgraph_with_host_file(tmp_path, capsys):
-    host = tmp_path / "host.json"
-    save_family(host, 5, [complete_bipartite_graph(5, {1, 2})])
-    out = tmp_path / "subs.json"
-    assert run("build", "--family", "dual-subgraph", "--n", "5",
-               "--host", str(host), "--out", str(out)) == 0
-    assert run("verify", "--pred", "k3", "--dual", str(out)) == 0
-    capsys.readouterr()
-
-
-def test_build_dual_subgraph_with_host_output_is_pinned(tmp_path, monkeypatch,
-                                                        capsys):
-    # the host graph reaches the file through the builder's own provenance
+def test_build_dual_subgraph_with_host_file(tmp_path, monkeypatch, capsys):
+    # relative paths, so that the `wrote` line is the same on every machine;
+    # the host reaches the file through the builder's own provenance
     monkeypatch.chdir(tmp_path)
     save_family("host.json", 5, [complete_bipartite_graph(5, {1, 2})])
     argv = ["build", "--family", "dual-subgraph", "--n", "5",
@@ -287,6 +277,8 @@ def test_build_dual_subgraph_with_host_output_is_pinned(tmp_path, monkeypatch,
             == "38e432449577dee606733e831574cc6da829550bf48292398df0c916037d1467"
     assert load_family("o.json").provenance == {
         "construction": "dual-subgraph", "host": "de00", "n": 5}
+    assert run("verify", "--pred", "k3", "--dual", "o.json") == 0
+    capsys.readouterr()
 
 
 def test_unknown_family(capsys):
