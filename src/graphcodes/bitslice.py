@@ -15,13 +15,16 @@ from functools import lru_cache
 
 from .core import edge_slots
 from .errors import DomainError
+from .family import check_enumerable
 
 
 @lru_cache(maxsize=None)
 def slot_columns(width: int) -> tuple[int, ...]:
     """Bit columns over the 2^width masks of ``width`` slots: column e is the
     bitset of the masks with bit e set (blocks of 2^e zeros then 2^e ones),
-    built from repeated bytes."""
+    built from repeated bytes.  A width past the enumeration budget is
+    refused before anything is built."""
+    check_enumerable(1 << width)
     ones = (1 << (1 << width)) - 1
     nbytes = max(1 << width >> 3, 1)
     cols = []

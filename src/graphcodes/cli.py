@@ -34,6 +34,9 @@ def _cmd_build(args):
         known = ", ".join(sorted(constructions.REGISTRY))
         raise GraphCodesError(f"unknown family {args.family!r}; known: {known}")
     param_names, builder = constructions.REGISTRY[args.family]
+    for name in ("n", "k", "p", "r", "host"):
+        if name not in param_names and getattr(args, name) is not None:
+            raise GraphCodesError(f"family {args.family!r} takes no --{name}")
     params = []
     prov_params = {}
     for name in param_names:

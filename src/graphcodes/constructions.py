@@ -17,11 +17,11 @@ from .core import (
     _is_prime,
     check_vertex_count,
     complete_graph,
+    cut_mask,
     edge_index,
     edge_slots,
     empty_graph,
     graph_from_edges,
-    incidence_masks,
     two_coloring,
     vertex_limit,
 )
@@ -35,22 +35,9 @@ from .linalg import LinearFamily, gf2_ordered_basis, ordered_span
 # split-clique families (connectivity and 2-connectivity)
 
 
-def _cut_mask(n: int, side: int) -> int:
-    """Edges between S and its complement for the side bitmask (bit v-1 =
-    v in S): the XOR of the incidence rows of S, in which each edge inside S
-    cancels."""
-    inc = incidence_masks(n)
-    bits = 0
-    while side:
-        low = side & -side
-        bits ^= inc[low.bit_length() - 1]
-        side ^= low
-    return bits
-
-
 def _split_clique_mask(n: int, side: int) -> int:
     """Edges of K_S union K_complement: the complement of the cut of S."""
-    return ((1 << edge_slots(n)) - 1) ^ _cut_mask(n, side)
+    return ((1 << edge_slots(n)) - 1) ^ cut_mask(n, side)
 
 
 def _split_family(n: int, construction: str, claimed_size: int,
@@ -163,7 +150,7 @@ def hamming_bipartite_family(k: int) -> LinearFamily:
         )
     n, basis = hamming_code(k)
     return LinearFamily(n, tuple(
-        LabeledGraph(n, _cut_mask(n, w)) for w in basis))
+        LabeledGraph(n, cut_mask(n, w)) for w in basis))
 
 
 # ---------------------------------------------------------------------------

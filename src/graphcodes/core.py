@@ -49,11 +49,26 @@ def edge_slots(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def pair_slot(u: int, v: int) -> int:
+    """Slot of the edge between 0-based vertices u != v, in either order.
+    Unchecked, for the witness paths; ``edge_index`` checks."""
+    if u > v:
+        u, v = v, u
+    return v * (v - 1) // 2 + u
+
+
 def edge_index(i: int, j: int, n: int) -> int:
     """Slot of edge {i, j}; requires 1 <= i < j <= n."""
     if not 1 <= i < j <= n:
         raise DomainError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    return (j - 1) * (j - 2) // 2 + (i - 1)
+    return pair_slot(i - 1, j - 1)
+
+
+def _unordered_index(i: int, j: int, n: int) -> int:
+    """``edge_index`` of the pair {i, j} given in either order."""
+    if i == j:
+        raise DomainError("no self-loops")
+    return edge_index(i, j, n) if i < j else edge_index(j, i, n)
 
 
 def edge_from_index(idx: int, n: int) -> tuple[int, int]:
@@ -108,6 +123,19 @@ def incidence_masks(n: int) -> tuple[int, ...]:
             inc[j] |= 1 << idx
             idx += 1
     return tuple(inc)
+
+
+def cut_mask(n: int, side: int) -> int:
+    """Edges between S and its complement for the side bitmask (bit v-1 =
+    v in S): the XOR of the incidence rows of S, in which each edge inside S
+    cancels."""
+    inc = incidence_masks(n)
+    bits = 0
+    while side:
+        low = side & -side
+        bits ^= inc[low.bit_length() - 1]
+        side ^= low
+    return bits
 
 
 def adjacency_masks(n: int, bits: int) -> list[int]:
@@ -265,11 +293,7 @@ class LabeledGraph(Frozen):
         return self.bits == 0
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            raise DomainError("no self-loops")
-        if i > j:
-            i, j = j, i
-        return bool(self.bits >> edge_index(i, j, self.n) & 1)
+        return bool(self.bits >> _unordered_index(i, j, self.n) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -345,6 +369,7 @@ def empty_graph(n: int) -> LabeledGraph:
 
 
 def complete_graph(n: int) -> LabeledGraph:
+    check_vertex_count(n)
     return LabeledGraph(n, (1 << edge_slots(n)) - 1)
 
 
@@ -352,42 +377,37 @@ def graph_from_edges(n: int, edges) -> LabeledGraph:
     check_vertex_count(n)
     bits = 0
     for i, j in edges:
-        if i == j:
-            raise DomainError("no self-loops")
-        if i > j:
-            i, j = j, i
-        slot = edge_index(i, j, n)
+        slot = _unordered_index(i, j, n)
         if bits >> slot & 1:
-            raise DomainError(f"duplicate edge {{{i},{j}}}")
+            raise DomainError(f"duplicate edge {{{min(i, j)},{max(i, j)}}}")
         bits |= 1 << slot
     return LabeledGraph(n, bits)
 
 
 def path_graph(n: int) -> LabeledGraph:
+    check_vertex_count(n)
     return graph_from_edges(n, [(v, v + 1) for v in range(1, n)])
 
 
 def cycle_graph(n: int) -> LabeledGraph:
     if n < 3:
         raise DomainError("a cycle needs at least 3 vertices")
+    check_vertex_count(n)
     return graph_from_edges(n, [(v, v + 1) for v in range(1, n)] + [(1, n)])
 
 
 def star_graph(n: int, center: int = 1) -> LabeledGraph:
     if not 1 <= center <= n:
         raise DomainError("center out of range")
+    check_vertex_count(n)
     return graph_from_edges(n, [(center, v) for v in range(1, n + 1) if v != center])
 
 
 def complete_bipartite_graph(n: int, side) -> LabeledGraph:
-    """All edges between ``side`` and its complement in {1..n}."""
-    in_side = set(side)
-    if not in_side <= set(range(1, n + 1)):
+    """All edges between ``side`` and its complement in {1..n}: its cut
+    graph."""
+    side = set(side)
+    if not all(v in range(1, n + 1) for v in side):
         raise DomainError("side vertices out of range")
-    edges = [
-        (i, j)
-        for j in range(2, n + 1)
-        for i in range(1, j)
-        if (i in in_side) != (j in in_side)
-    ]
-    return graph_from_edges(n, edges)
+    check_vertex_count(n)
+    return LabeledGraph(n, cut_mask(n, sum(1 << v - 1 for v in side)))

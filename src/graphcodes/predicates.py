@@ -25,6 +25,7 @@ from .core import (
     adjacency_masks,
     complete_graph,
     edge_slots,
+    pair_slot,
     reach,
     two_coloring,
 )
@@ -274,13 +275,6 @@ def _kconn_table(n: int, e: list[list[int]], ones: int, k: int) -> int:
 # Hamiltonian paths and cycles (one backtrack with a path/cycle switch)
 
 
-def _edge_bit(u: int, v: int) -> int:
-    """The mask of the edge between 0-based vertices u != v."""
-    if u > v:
-        u, v = v, u
-    return 1 << v * (v - 1) // 2 + u
-
-
 def _hamiltonian_mask(n: int, bits: int, cycle: bool) -> int | None:
     """The edges of a Hamiltonian cycle (``cycle``) or path, by
     backtracking, or None when there is none.  A path may start at any
@@ -300,7 +294,7 @@ def _hamiltonian_mask(n: int, bits: int, cycle: bool) -> int | None:
         if visited == full:
             if not cycle:
                 return 0
-            return _edge_bit(cur, 0) if adj[cur] & 1 else None
+            return 1 << pair_slot(cur, 0) if adj[cur] & 1 else None
         unvisited = full & ~visited
         cand = adj[cur] & unvisited
         if reach(adj, cand, unvisited) != unvisited:
@@ -317,7 +311,7 @@ def _hamiltonian_mask(n: int, bits: int, cycle: bool) -> int | None:
             lowbit = cand & -cand
             rest = rec(lowbit.bit_length() - 1, visited | lowbit)
             if rest is not None:
-                return rest | _edge_bit(cur, lowbit.bit_length() - 1)
+                return rest | 1 << pair_slot(cur, lowbit.bit_length() - 1)
             cand ^= lowbit
         return None
 
@@ -432,7 +426,7 @@ def _contains_mask(n: int, bits: int, pn: int, pbits: int,
         m = padj[p] >> p + 1
         while m:
             low = m & -m
-            placed |= _edge_bit(mapping[p], mapping[p + low.bit_length()])
+            placed |= 1 << pair_slot(mapping[p], mapping[p + low.bit_length()])
             m ^= low
     return placed
 

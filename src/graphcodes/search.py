@@ -16,7 +16,7 @@ from . import bitslice, core
 from .core import Frozen, LabeledGraph, edge_slots
 from .errors import CapabilityError, DomainError
 from .family import GraphFamily
-from .linalg import gf2_ordered_basis, ordered_span
+from .linalg import LinearFamily
 from .predicates import NAMED, Predicate
 from . import bounds
 
@@ -421,10 +421,9 @@ def max_linear_family(
         status = "timeout"
     except _CapReached:
         pass
-    rows = gf2_ordered_basis(best)
+    fam = LinearFamily(n, [LabeledGraph(n, g) for g in best])
     return _result(
-        n, pred, "linear", ordered_span(rows), budget, status,
-        rank=len(rows),
+        n, pred, "linear", fam.span_masks(), budget, status, rank=fam.rank,
         phase_seconds={"classify": classify,
                        "basis": time.perf_counter() - began - classify},
     )

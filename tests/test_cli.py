@@ -291,6 +291,42 @@ def test_build_missing_parameter(capsys):
     assert "needs --n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, params, stray", [
+    ("k3-5", [], ["--n", "3"]),
+    ("split-clique", ["--n", "5"], ["--k", "3"]),
+    ("hamming-3conn", ["--k", "3"], ["--n", "7"]),
+    ("hampath", ["--p", "5"], ["--r", "2"]),
+    ("clique-agreement", ["--n", "5", "--r", "2"], ["--p", "5"]),
+    ("star", ["--n", "5"], ["--host", "host.json"]),
+], ids=("k3-5", "split-clique", "hamming-3conn", "hampath", "clique-agreement",
+        "star"))
+def test_build_refuses_a_parameter_its_family_does_not_take(tmp_path, capsys,
+                                                           family, params,
+                                                           stray):
+    out = tmp_path / "f.json"
+    assert run("build", "--family", family, *params, *stray,
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: family {family!r} takes no {stray[0]}\n")
+    assert not out.exists()
+
+
+def test_linear_search_past_the_enumeration_budget_exits_2(tmp_path, capsys,
+                                                          monkeypatch):
+    from graphcodes import family
+
+    k2 = tmp_path / "k2.json"
+    save_family(k2, 2, [complete_graph(2)])
+    monkeypatch.setattr(family, "ENUM_BUDGET", 1 << 12)
+    assert run("search", "--pred", f"sub:{k2}", "--n", "5",
+               "--mode", "linear") == 0
+    assert capsys.readouterr().out.startswith("optimum 1024 [exact]")
+    assert run("search", "--pred", f"sub:{k2}", "--n", "6",
+               "--mode", "linear") == 2
+    assert capsys.readouterr().err == (
+        "error: 32768 graphs exceed the enumeration budget 4096\n")
+
+
 def test_sample_requires_dual(tmp_path, capsys):
     out = tmp_path / "f.json"
     save_family(out, 4, [empty_graph(4), complete_graph(4)])

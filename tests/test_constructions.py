@@ -56,7 +56,7 @@ def test_split_clique_and_cut_masks_match_the_slot_walk(n):
     for side in range(1 << n):
         reference = _split_clique_by_slots(n, side)
         assert C._split_clique_mask(n, side) == reference, side
-        assert C._cut_mask(n, side) == full ^ reference, side
+        assert core.cut_mask(n, side) == full ^ reference, side
 
 
 def test_split_clique_diffs_are_complete_bipartite():
@@ -427,7 +427,7 @@ def test_builders_check_the_vertex_limit_before_building(monkeypatch, build,
     def unreachable(*args):
         raise AssertionError("a mask was built past the vertex limit")
 
-    for module, name in ((C, "_split_clique_mask"), (C, "_cut_mask"),
+    for module, name in ((C, "_split_clique_mask"), (C, "cut_mask"),
                          (C, "edge_slots"), (C, "edge_index"),
                          (C, "hamming_code"), (C, "_is_prime"),
                          (C, "starter_factorization"),

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from graphcodes import (
     LabeledGraph,
     complete_bipartite_graph,
     complete_graph,
+    cycle_graph,
     edge_from_index,
     edge_index,
     edge_slots,
@@ -19,6 +21,7 @@ from graphcodes import (
     graph_from_edges,
     path_graph,
     save_family,
+    star_graph,
     load_family,
 )
 from graphcodes.core import (DEFAULT_VERTEX_LIMIT, _fits_str, adjacency_masks,
@@ -211,6 +214,27 @@ def test_family_file_validates_header(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DomainError):
         load_family(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete_graph(3000), lambda: path_graph(3000),
+    lambda: cycle_graph(3000), lambda: star_graph(3000),
+    lambda: complete_bipartite_graph(3000, {1}),
+], ids=("complete", "path", "cycle", "star", "complete-bipartite"))
+def test_core_builders_check_n_before_building(build):
+    # on 3,000 vertices the edge lists take 170-340 KB and the complete
+    # graph's mask 560 KB, so a refusal that allocates next to nothing
+    # checked n first
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError) as exc:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        f"n=3000 exceeds the configured vertex limit {DEFAULT_VERTEX_LIMIT}")
+    assert peak < 16 << 10
 
 
 def test_family_file_n_past_the_vertex_limit(tmp_path):

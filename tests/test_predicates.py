@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -584,6 +588,27 @@ def test_table_counts_labeled_graphs():
     assert P.CONNECTED.table(6).bit_count() == 26_704
     assert P.TWO_CONNECTED.table(6).bit_count() == 11_368
     assert P.THREE_CONNECTED.table(6).bit_count() == 1_768
+
+
+def test_a_table_past_the_enumeration_budget_is_refused_at_once():
+    # the 28 slot columns of the whole n = 8 table would take about 0.9 GiB;
+    # the child's address space is capped so that building them fails with
+    # MemoryError instead of filling the machine
+    probe = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS,\n"
+        "    (700 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "from graphcodes.errors import CapabilityError\n"
+        "from graphcodes.predicates import CONNECTED\n"
+        "try:\n"
+        "    CONNECTED.table(8)\n"
+        "except CapabilityError as exc:\n"
+        "    print(exc)\n")
+    src = Path(P.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout) == (
+        0, "2^28 graphs exceed the enumeration budget 2^24\n"), proc.stderr
 
 
 def test_table_domain_checks():
