@@ -313,10 +313,14 @@ def test_build_refuses_a_parameter_its_family_does_not_take(tmp_path, capsys,
 
 def test_linear_search_past_the_enumeration_budget_exits_2(tmp_path, capsys,
                                                           monkeypatch):
-    from graphcodes import family
+    from graphcodes import bitslice, family
 
     k2 = tmp_path / "k2.json"
     save_family(k2, 2, [complete_graph(2)])
+    # the n = 6 search reads its truth table in one block of 15 columns;
+    # built here under the real budget, so that only the certificate of
+    # rank 15 meets the lowered one
+    bitslice.slot_columns(15)
     monkeypatch.setattr(family, "ENUM_BUDGET", 1 << 12)
     assert run("search", "--pred", f"sub:{k2}", "--n", "5",
                "--mode", "linear") == 0
